@@ -17,8 +17,7 @@ GATE_FLAGS = -bench $(GATE_BENCH) -invocations 6 -iterations 10 -seed 42 -noise 
 # against it. ns/op deltas are informational (host-dependent), but
 # allocs_per_op and bytes_per_op are gated: memory behavior is
 # host-independent, so growth past both the relative and absolute floors
-# fails the target. BENCHVM_TIER selects the tier under test (empty =
-# register; "stack" for the escape-hatch side-by-side run).
+# fails the target.
 BENCHGO_PKGS = ./internal/vm
 BENCHGO_FLAGS = -run '^$$' -bench . -benchmem -benchtime 1s -count 3
 BENCHGO_MEMGATE = -max-alloc-growth 10 -max-bytes-growth 25
@@ -59,7 +58,7 @@ bench-go:
 # bench-go-baseline regenerates BENCH_vm.json from the current tree with
 # stamped provenance (commit, branch, go version, timestamp). Only run
 # this deliberately: the committed file is the anchor that future PRs
-# measure against, and it must be a register-tier (default) run.
+# measure against.
 bench-go-baseline:
 	$(GO) test $(BENCHGO_PKGS) $(BENCHGO_FLAGS) | $(GO) run ./cmd/benchjson -out BENCH_vm.json
 
@@ -76,19 +75,19 @@ bench-smoke:
 	rm -rf $(SMOKEDIR)
 
 # bench-gate exercises the CI perf-regression gate end to end:
-#   1. a fresh run of the pinned-seed experiment — sequentially and with 4
-#      worker shards — must be bit-identical to the committed baseline
-#      (simulated times are host-independent, so this holds on any machine);
-#   2. the stack-tier escape hatch (-vm stack) must produce bit-identical
-#      sample sets to the register-tier default — the two-tier equivalence
-#      contract (DESIGN.md §16) — sequentially, with 4 worker shards, and
-#      under process isolation;
-#   3. benchgate must pass the fresh candidate against the baseline;
-#   4. benchgate must FAIL (non-zero) on the committed 20%-slowdown fixture.
+#   1. a fresh run of the pinned-seed experiment — sequentially, with 4
+#      worker shards, and under process isolation — must be bit-identical
+#      to the committed baseline (simulated times are host-independent, so
+#      this holds on any machine); the sharded run also writes its trace;
+#   2. benchgate must pass the fresh candidate against the baseline;
+#   3. benchgate must FAIL (non-zero) on the committed 20%-slowdown fixture.
+# The scratch dir is removed only on success, so a failing CI run can
+# upload it.
 bench-gate:
 	rm -rf $(GATEDIR) && mkdir -p $(GATEDIR)
 	$(GO) run ./cmd/pybench $(GATE_FLAGS) > $(GATEDIR)/seq.json
-	$(GO) run ./cmd/pybench $(GATE_FLAGS) -workers 4 -parallel-policy force > $(GATEDIR)/par.json
+	$(GO) run ./cmd/pybench $(GATE_FLAGS) -workers 4 -parallel-policy force \
+		-trace $(GATEDIR)/par.trace.json > $(GATEDIR)/par.json
 	$(GO) run ./cmd/benchgate -baseline cmd/benchgate/testdata/baseline.json \
 		-candidate $(GATEDIR)/seq.json -equivalence
 	$(GO) run ./cmd/benchgate -baseline $(GATEDIR)/seq.json \
@@ -96,15 +95,6 @@ bench-gate:
 	$(GO) run ./cmd/pybench $(GATE_FLAGS) -isolate > $(GATEDIR)/iso.json
 	$(GO) run ./cmd/benchgate -baseline $(GATEDIR)/seq.json \
 		-candidate $(GATEDIR)/iso.json -equivalence
-	$(GO) run ./cmd/pybench $(GATE_FLAGS) -vm stack > $(GATEDIR)/stack-seq.json
-	$(GO) run ./cmd/benchgate -baseline $(GATEDIR)/seq.json \
-		-candidate $(GATEDIR)/stack-seq.json -equivalence
-	$(GO) run ./cmd/pybench $(GATE_FLAGS) -vm stack -workers 4 -parallel-policy force > $(GATEDIR)/stack-par.json
-	$(GO) run ./cmd/benchgate -baseline $(GATEDIR)/seq.json \
-		-candidate $(GATEDIR)/stack-par.json -equivalence
-	$(GO) run ./cmd/pybench $(GATE_FLAGS) -vm stack -isolate > $(GATEDIR)/stack-iso.json
-	$(GO) run ./cmd/benchgate -baseline $(GATEDIR)/seq.json \
-		-candidate $(GATEDIR)/stack-iso.json -equivalence
 	$(GO) run ./cmd/benchgate -baseline cmd/benchgate/testdata/baseline.json \
 		-candidate $(GATEDIR)/seq.json
 	! $(GO) run ./cmd/benchgate -baseline cmd/benchgate/testdata/baseline.json \

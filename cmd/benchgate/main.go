@@ -15,9 +15,9 @@
 // -equivalence switches to the parallel-determinism check: instead of a
 // statistical comparison, the two results must contain the *identical*
 // per-invocation sample set (times, cycles, steps), invocation by
-// invocation — the property the sharded runner guarantees against the
-// sequential runner at equal seeds, and the register tier against the
-// stack tier at any seed (DESIGN.md §16).
+// invocation — the property the sharded and isolated runners guarantee
+// against the sequential runner at equal seeds, and host-level VM
+// optimizations against the committed golden baseline (DESIGN.md §16).
 //
 // -mem-baseline/-mem-candidate run the memory gate over two benchjson
 // documents (the BENCH_vm.json shape): every benchmark whose

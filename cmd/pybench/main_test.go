@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -73,6 +74,14 @@ func TestDoBenchErrors(t *testing.T) {
 	}
 	if err := doBench(benchSpec("fib", "turbo", 0, 0, 0, ""), "", "", false, noObs()); err == nil {
 		t.Fatal("unknown mode must error")
+	}
+	// -vm stack is an unknown tier: a spec error, which fatal maps to exit 2.
+	stack := benchSpec("fib", "interp", 0, 0, 0, "")
+	stack.VM = "stack"
+	var se *controlapi.SpecError
+	if err := doBench(stack, "", "", false, noObs()); !errors.As(err, &se) ||
+		!strings.Contains(err.Error(), "reg-elide") {
+		t.Fatalf("-vm stack: want a spec error listing the tiers, got %v", err)
 	}
 }
 

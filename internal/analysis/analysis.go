@@ -116,6 +116,18 @@ func (r *Report) Errors() []Diagnostic {
 	return out
 }
 
+// Err returns the error Check reports for this program: an *Error for the
+// first error-severity diagnostic, or nil when there is none. Diagnostics
+// are sorted, so the first is the lowest function, then the lowest pc.
+func (r *Report) Err() error {
+	for _, d := range r.Diagnostics {
+		if d.Severity == ErrorSev {
+			return &Error{Func: d.Func, PC: d.PC, Line: d.Line, Rule: d.Rule, Msg: d.Msg}
+		}
+	}
+	return nil
+}
+
 // Warnings returns the warning-severity diagnostics.
 func (r *Report) Warnings() []Diagnostic {
 	var out []Diagnostic
@@ -250,11 +262,7 @@ func Check(code *minipy.Code) error {
 	if err != nil {
 		return err
 	}
-	if errs := rep.Errors(); len(errs) > 0 {
-		d := errs[0]
-		return &Error{Func: d.Func, PC: d.PC, Line: d.Line, Rule: d.Rule, Msg: d.Msg}
-	}
-	return nil
+	return rep.Err()
 }
 
 // lineOf returns the source line of the instruction at pc, or 0.

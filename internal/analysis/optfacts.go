@@ -16,6 +16,14 @@ import "repro/internal/minipy"
 // as anywhere else — the diagnostic layer's idiomatic-code carve-out is a
 // reporting policy, not a semantic one.
 func OptimizationFacts(root *minipy.Code) *minipy.OptFacts {
+	return InterprocAnalyze(root, nil).OptimizationFacts()
+}
+
+// OptimizationFacts derives the package-level OptimizationFacts from facts
+// already computed over m.Module (a Report's), without re-running the
+// interprocedural analysis.
+func (m *ModuleFacts) OptimizationFacts() *minipy.OptFacts {
+	root := m.Module
 	facts := &minipy.OptFacts{DeadStores: map[*minipy.Code]map[int]bool{}}
 	var walk func(c *minipy.Code)
 	walk = func(c *minipy.Code) {
@@ -29,7 +37,7 @@ func OptimizationFacts(root *minipy.Code) *minipy.OptFacts {
 		}
 	}
 	walk(root)
-	addFactGates(facts, InterprocAnalyze(root, moduleContext(root)))
+	addFactGates(facts, m)
 	return facts
 }
 

@@ -7,9 +7,9 @@ import "repro/internal/minipy"
 // executes by default, the compacted size of the move-elided A9 variant,
 // and how many register-write sites the interval analysis licenses to hold
 // unboxed tagged words. A function that fails to lower (Reason non-empty)
-// runs on the stack tier — the certificate records that fallback so a
-// lowering regression is visible as certificate drift, not just as a
-// silent perf cliff.
+// cannot run — vm.Prepare rejects the program with a compile error — and
+// the certificate records the refusal, so a lowering regression is also
+// visible as certificate drift.
 type RegisterFacts struct {
 	Lowered bool `json:"lowered"`
 	// Regs is the register-file size: locals plus the operand-stack

@@ -152,55 +152,3 @@ func TestStepBoundCoverage(t *testing.T) {
 		}
 	}
 }
-
-// TestSoundnessAgreesAcrossTiers runs the checker over both execution
-// tiers explicitly (DESIGN.md §16): the register tier's boxed shadow stack,
-// materialized per op for the ValueTracer, must present the checker with
-// exactly the operand values the stack tier would have — same violations
-// (none), same checksum, same executed steps. A divergence here means the
-// register tier's escape-point boxing changed an observable value.
-func TestSoundnessAgreesAcrossTiers(t *testing.T) {
-	for _, name := range []string{"fib", "matmul", "branchy", "strings"} {
-		b, ok := workloads.ByName(name)
-		if !ok {
-			t.Fatalf("no benchmark %q", name)
-		}
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			code := variant(t, b, 2)
-			rep, err := analysis.Analyze(code)
-			if err != nil {
-				t.Fatalf("analyze: %v", err)
-			}
-			type arm struct {
-				tier     vm.Tier
-				checksum string
-				steps    uint64
-			}
-			arms := []arm{{tier: vm.TierRegister}, {tier: vm.TierStack}}
-			for i := range arms {
-				chk := analysis.NewSoundnessChecker(rep.Facts())
-				in := vm.New(vm.Config{Tier: arms[i].tier, Tracer: chk, MaxSteps: 500_000_000})
-				chk.Attach(in)
-				if _, err := in.RunModule(code); err != nil {
-					t.Fatalf("%v module: %v", arms[i].tier, err)
-				}
-				v, err := in.CallGlobal("run")
-				if err != nil {
-					t.Fatalf("%v run(): %v", arms[i].tier, err)
-				}
-				for _, viol := range chk.Violations() {
-					t.Errorf("%v soundness violation: %s", arms[i].tier, viol)
-				}
-				arms[i].checksum = v.Repr()
-				arms[i].steps = in.CountersSnapshot().Steps
-			}
-			if arms[0].checksum != arms[1].checksum {
-				t.Errorf("checksum diverged: reg %s, stack %s", arms[0].checksum, arms[1].checksum)
-			}
-			if arms[0].steps != arms[1].steps {
-				t.Errorf("steps diverged: reg %d, stack %d", arms[0].steps, arms[1].steps)
-			}
-		})
-	}
-}

@@ -171,6 +171,17 @@ func TestSubmitRejections(t *testing.T) {
 			wantIn:     "unknown mode",
 		},
 		{
+			// The stack interpreter is a test reference, not an executor.
+			name: "stack tier",
+			body: func(t *testing.T) []byte {
+				s := tinySpec()
+				s.VM = "stack"
+				return mustMarshal(t, s)
+			},
+			wantStatus: http.StatusBadRequest,
+			wantIn:     "unknown vm tier",
+		},
+		{
 			name: "bad fault spec",
 			body: func(t *testing.T) []byte {
 				s := tinySpec()

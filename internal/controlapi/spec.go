@@ -51,11 +51,9 @@ type CampaignSpec struct {
 	// Opt is the bytecode-optimization level (0–3); levels ≥ 1 are a
 	// distinct experiment arm (ablations A7/A8).
 	Opt int `json:"opt,omitempty"`
-	// VM selects the execution tier: "" or "reg" (register tier, default),
-	// "stack" (stack interpreter), or "reg-elide" (move-elided register
-	// stream, ablation A9). reg and stack produce bit-identical sample
-	// sets (DESIGN.md §16), so unlike Opt they are not distinct arms;
-	// reg-elide changes the executed stream and is.
+	// VM selects the register stream: "" or "reg" (default) or
+	// "reg-elide" (move-elided stream, ablation A9), which changes the
+	// executed stream and is therefore a distinct experiment arm.
 	VM string `json:"vm,omitempty"`
 	// Workers fans invocations across shards; the sample set is identical
 	// to sequential by construction.
@@ -195,8 +193,8 @@ func (s CampaignSpec) Validate() error {
 	if s.Opt < 0 || s.Opt > 3 {
 		return specErrf("opt level %d out of range 0..3", s.Opt)
 	}
-	if _, _, ok := vm.TierSpec(s.VM); !ok {
-		return specErrf("unknown vm tier %q (want reg, stack, or reg-elide)", s.VM)
+	if _, ok := vm.TierSpec(s.VM); !ok {
+		return specErrf("unknown vm tier %q (want reg or reg-elide)", s.VM)
 	}
 	if s.Invocations < 0 || s.Iterations < 0 {
 		return specErrf("negative experiment design")

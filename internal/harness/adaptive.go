@@ -65,14 +65,14 @@ func (r *Runner) RunAdaptive(b workloads.Benchmark, opts AdaptiveOptions) (*Adap
 		pilot = maxInv
 	}
 
-	code, summary, err := r.compiled(b, base.Opt)
+	prog, summary, err := r.compiled(b, base.Opt)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Benchmark: b.Name, Mode: base.Mode, Opts: base, Analysis: summary}
 	addInvocations := func(n int) error {
 		for i := 0; i < n; i++ {
-			inv, err := r.runInvocation(code, base, len(res.Invocations))
+			inv, err := r.runInvocation(prog, base, len(res.Invocations))
 			if err == nil {
 				err = validateChecksum(b, inv)
 			}

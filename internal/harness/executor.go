@@ -9,9 +9,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/minipy"
 	"repro/internal/procexec"
 	"repro/internal/trace"
+	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -58,7 +58,7 @@ func (io IsolationOptions) command() ([]string, error) {
 // quarantine, and checkpoint logic is identical either way.
 type invocationExecutor interface {
 	// run executes one attempt. sab carries injected environment faults.
-	run(b workloads.Benchmark, code *minipy.Code, opts Options, noiseIdx int,
+	run(b workloads.Benchmark, prog *vm.Program, opts Options, noiseIdx int,
 		sab workerSabotage, spanKV ...string) (*Invocation, error)
 	// describe reports the substrate for Supervision.Isolation.
 	describe() string
@@ -81,7 +81,7 @@ type inProcExecutor struct {
 	note string
 }
 
-func (e *inProcExecutor) run(b workloads.Benchmark, code *minipy.Code, opts Options,
+func (e *inProcExecutor) run(b workloads.Benchmark, prog *vm.Program, opts Options,
 	noiseIdx int, sab workerSabotage, spanKV ...string) (*Invocation, error) {
 	switch {
 	case sab.Exit:
@@ -91,9 +91,9 @@ func (e *inProcExecutor) run(b workloads.Benchmark, code *minipy.Code, opts Opti
 		// aborts the attempt, standing in for the watchdog.
 		o := opts
 		o.MaxStepsPerInvocation = hangBudgetSteps
-		return e.r.runInvocation(code, o, noiseIdx, spanKV...)
+		return e.r.runInvocation(prog, o, noiseIdx, spanKV...)
 	}
-	return e.r.runInvocation(code, opts, noiseIdx, spanKV...)
+	return e.r.runInvocation(prog, opts, noiseIdx, spanKV...)
 }
 
 func (e *inProcExecutor) describe() string  { return e.note }
@@ -210,15 +210,15 @@ func (e *subprocExecutor) take() (*procexec.Client, error) {
 	return c, nil
 }
 
-func (e *subprocExecutor) run(b workloads.Benchmark, code *minipy.Code, opts Options,
+func (e *subprocExecutor) run(b workloads.Benchmark, prog *vm.Program, opts Options,
 	noiseIdx int, sab workerSabotage, spanKV ...string) (*Invocation, error) {
 	if ip := e.fallenBack(); ip != nil {
-		return ip.run(b, code, opts, noiseIdx, sab, spanKV...)
+		return ip.run(b, prog, opts, noiseIdx, sab, spanKV...)
 	}
 	c, err := e.take()
 	if err != nil {
 		// Isolation is unavailable; degrade rather than fail the attempt.
-		return e.fallBack(err.Error()).run(b, code, opts, noiseIdx, sab, spanKV...)
+		return e.fallBack(err.Error()).run(b, prog, opts, noiseIdx, sab, spanKV...)
 	}
 	// The child process has no trace sink, so its invocation/iteration spans
 	// are lost across the pipe; mirror the invocation span here so isolated

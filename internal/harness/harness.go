@@ -54,13 +54,10 @@ type Options struct {
 	// opcode stream, so optimized runs are a distinct experiment arm — never
 	// comparable sample-for-sample with level 0.
 	Opt int `json:",omitempty"`
-	// VM selects the execution tier: "" or "reg" for the register tier
-	// (default), "stack" for the stack interpreter. The tiers are
-	// host-level implementations of the same simulated machine — sample
-	// sets are bit-identical across them (DESIGN.md §16), so unlike Opt
-	// this is NOT a distinct experiment arm. The exception is "reg-elide"
-	// (the move-elided register stream, ablation A9), which executes fewer
-	// simulated ops and therefore IS a distinct arm.
+	// VM selects the register stream: "" or "reg" for the 1:1 lowering
+	// (default), or "reg-elide" for the move-elided stream (ablation A9),
+	// which executes fewer simulated ops and is therefore a distinct
+	// experiment arm. Any other value is rejected (DESIGN.md §16).
 	VM string `json:",omitempty"`
 }
 
@@ -217,7 +214,7 @@ func NewRunner() *Runner {
 // Cache exposes the runner's compiled-code cache (shards and tests share it).
 func (r *Runner) Cache() *workloads.CodeCache { return r.cache }
 
-func (r *Runner) compiled(b workloads.Benchmark, opt int) (*minipy.Code, *analysis.Summary, error) {
+func (r *Runner) compiled(b workloads.Benchmark, opt int) (*vm.Program, *analysis.Summary, error) {
 	e, hit, err := r.cache.GetOpt(b, opt)
 	if err != nil {
 		return nil, nil, err
@@ -227,13 +224,13 @@ func (r *Runner) compiled(b workloads.Benchmark, opt int) (*minipy.Code, *analys
 	} else {
 		r.obs.Metrics.Counter(mCacheMisses, "compiled-code cache misses (front-end runs)").Inc()
 	}
-	return e.Code, e.Analysis, nil
+	return e.Program, e.Analysis, nil
 }
 
 // Run executes the full experiment for one benchmark.
 func (r *Runner) Run(b workloads.Benchmark, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	code, summary, err := r.compiled(b, opts.Opt)
+	prog, summary, err := r.compiled(b, opts.Opt)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +240,7 @@ func (r *Runner) Run(b workloads.Benchmark, opts Options) (*Result, error) {
 	defer sp.End()
 	res := &Result{Benchmark: b.Name, Mode: opts.Mode, Opts: opts, Analysis: summary}
 	for i := 0; i < opts.Invocations; i++ {
-		inv, err := r.runInvocation(code, opts, i)
+		inv, err := r.runInvocation(prog, opts, i)
 		if err == nil {
 			err = validateChecksum(b, inv)
 		}
@@ -271,7 +268,7 @@ func validateChecksum(b workloads.Benchmark, inv *Invocation) error {
 // checksum first when injecting that fault). spanKV carries extra span
 // arguments — the parallel runner labels every invocation span with the
 // worker shard that executed it.
-func (r *Runner) runInvocation(code *minipy.Code,
+func (r *Runner) runInvocation(prog *vm.Program,
 	opts Options, invIdx int, spanKV ...string) (*Invocation, error) {
 	tr := r.obs.Trace
 	var invSpan trace.Span
@@ -310,13 +307,12 @@ func (r *Runner) runInvocation(code *minipy.Code,
 			return nil
 		}
 	}
-	tier, regElide, ok := vm.TierSpec(opts.VM)
+	regElide, ok := vm.TierSpec(opts.VM)
 	if !ok {
-		return nil, fmt.Errorf("unknown vm tier %q (want reg, stack, or reg-elide)", opts.VM)
+		return nil, fmt.Errorf("unknown vm tier %q (want reg or reg-elide)", opts.VM)
 	}
 	engine := vm.New(vm.Config{
 		Mode:       opts.Mode,
-		Tier:       tier,
 		RegElide:   regElide,
 		Cost:       opts.Cost,
 		Probe:      probe,
@@ -325,7 +321,7 @@ func (r *Runner) runInvocation(code *minipy.Code,
 		AbortCheck: abort,
 	})
 	setupSpan := tr.Begin(trace.CatPhase, "module-setup")
-	_, err := engine.RunModule(code)
+	_, err := engine.RunProgram(prog)
 	setupSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("module setup: %w", err)

@@ -303,7 +303,7 @@ func (r *Runner) RunParallel(b workloads.Benchmark, opts Options, po ParallelOpt
 		}
 		return res, err
 	}
-	code, summary, err := r.compiled(b, opts.Opt)
+	prog, summary, err := r.compiled(b, opts.Opt)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +320,7 @@ func (r *Runner) RunParallel(b workloads.Benchmark, opts Options, po ParallelOpt
 	}
 	outs := make([]outcome, opts.Invocations)
 	r.shardPool(opts.Invocations, po.Workers, func(shard, i int) {
-		inv, err := r.runInvocation(code, opts, i, "worker", strconv.Itoa(shard))
+		inv, err := r.runInvocation(prog, opts, i, "worker", strconv.Itoa(shard))
 		if err == nil {
 			err = validateChecksum(b, inv)
 		}

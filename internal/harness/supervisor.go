@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/faults"
-	"repro/internal/minipy"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -306,7 +305,7 @@ func (s *Supervisor) runWith(b workloads.Benchmark, opts Options,
 	ckpt CheckpointStore, po ParallelOptions) (*Result, error) {
 	opts = opts.withDefaults()
 	po = po.withDefaults()
-	code, summary, err := s.r.compiled(b, opts.Opt)
+	prog, summary, err := s.r.compiled(b, opts.Opt)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", b.Name, err)
 	}
@@ -470,7 +469,7 @@ func (s *Supervisor) runWith(b workloads.Benchmark, opts Options,
 				return
 			}
 			idx := pending[j]
-			completeSlot(idx, s.superviseOne(exec, b, code, opts, idx, inj,
+			completeSlot(idx, s.superviseOne(exec, b, prog, opts, idx, inj,
 				"worker", strconv.Itoa(shard)))
 		})
 	} else {
@@ -478,7 +477,7 @@ func (s *Supervisor) runWith(b workloads.Benchmark, opts Options,
 			if crashedNow() {
 				break
 			}
-			completeSlot(idx, s.superviseOne(exec, b, code, opts, idx, inj))
+			completeSlot(idx, s.superviseOne(exec, b, prog, opts, idx, inj))
 		}
 	}
 	if crashedNow() {
@@ -558,7 +557,7 @@ func assembleSupervised(b workloads.Benchmark, opts Options, summary *analysis.S
 // shards run it concurrently; all side effects go through the
 // concurrency-safe observability sinks.
 func (s *Supervisor) superviseOne(exec invocationExecutor, b workloads.Benchmark,
-	code *minipy.Code, opts Options, invIdx int, inj *faults.Injector, spanKV ...string) slotRecord {
+	prog *vm.Program, opts Options, invIdx int, inj *faults.Injector, spanKV ...string) slotRecord {
 	obs := s.r.obs
 	slot := slotRecord{Index: invIdx, Log: InvocationLog{Index: invIdx, Status: StatusDropped}}
 	for attempt := 0; attempt <= s.opts.MaxRetries; attempt++ {
@@ -577,7 +576,7 @@ func (s *Supervisor) superviseOne(exec invocationExecutor, b workloads.Benchmark
 				"attempt", strconv.Itoa(attempt))
 			obs.Metrics.Counter(mFaultsInjected, "faults injected into attempts").Inc()
 		}
-		inv, err := s.attempt(exec, b, code, opts, invIdx, attempt, fault, spanKV...)
+		inv, err := s.attempt(exec, b, prog, opts, invIdx, attempt, fault, spanKV...)
 		if err == nil {
 			var quarantined int
 			quarantined, err = validateSamples(inv)
@@ -621,7 +620,7 @@ func (s *Supervisor) superviseOne(exec invocationExecutor, b workloads.Benchmark
 // campaign down (a child-process crash never even reaches this process;
 // the executor reports it as an error).
 func (s *Supervisor) attempt(exec invocationExecutor, b workloads.Benchmark,
-	code *minipy.Code, opts Options, invIdx, attempt int,
+	prog *vm.Program, opts Options, invIdx, attempt int,
 	fault faults.Fault, spanKV ...string) (inv *Invocation, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -643,17 +642,17 @@ func (s *Supervisor) attempt(exec invocationExecutor, b workloads.Benchmark,
 		// must fire, simulating a hung invocation being reaped.
 		o := opts
 		o.MaxStepsPerInvocation = hangBudgetSteps
-		return exec.run(b, code, o, noiseIdx, workerSabotage{}, spanKV...)
+		return exec.run(b, prog, o, noiseIdx, workerSabotage{}, spanKV...)
 	case faults.ChildKill:
 		// The child dies abruptly mid-attempt (in-process: the attempt is
 		// aborted with the same fate).
-		return exec.run(b, code, opts, noiseIdx, workerSabotage{Exit: true}, spanKV...)
+		return exec.run(b, prog, opts, noiseIdx, workerSabotage{Exit: true}, spanKV...)
 	case faults.Stall:
 		// The child livelocks until the watchdog reaps it (in-process:
 		// degraded to the budget-guard hang realization).
-		return exec.run(b, code, opts, noiseIdx, workerSabotage{Stall: true}, spanKV...)
+		return exec.run(b, prog, opts, noiseIdx, workerSabotage{Stall: true}, spanKV...)
 	}
-	inv, err = exec.run(b, code, opts, noiseIdx, workerSabotage{}, spanKV...)
+	inv, err = exec.run(b, prog, opts, noiseIdx, workerSabotage{}, spanKV...)
 	if err != nil {
 		return nil, err
 	}

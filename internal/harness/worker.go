@@ -103,11 +103,11 @@ func serveInvocation(runner *Runner, raw []byte) (resp workerResponse) {
 	if !ok {
 		return workerResponse{Error: fmt.Sprintf("worker: unknown benchmark %q", req.Benchmark)}
 	}
-	code, _, err := runner.compiled(b, req.Opts.Opt)
+	prog, _, err := runner.compiled(b, req.Opts.Opt)
 	if err != nil {
 		return workerResponse{Error: fmt.Sprintf("worker: compiling %s: %v", req.Benchmark, err)}
 	}
-	inv, err := runner.runInvocation(code, req.Opts, req.NoiseIdx)
+	inv, err := runner.runInvocation(prog, req.Opts, req.NoiseIdx)
 	if err != nil {
 		return workerResponse{Error: err.Error()}
 	}

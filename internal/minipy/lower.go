@@ -20,8 +20,9 @@ import "fmt"
 // ElideMoves and are opt-in.
 //
 // Lowering shares the verifier's depth computation; code that fails depth
-// analysis (unbalanced, inconsistent joins) returns an error and callers
-// fall back to the stack tier.
+// analysis (unbalanced, inconsistent joins) returns an error, which the VM
+// reports as a compile error (vm.Prepare) or a run error — such code never
+// executes.
 func LowerToRegister(code *Code) (*RCode, error) {
 	depth, err := stackDepths(code)
 	if err != nil {

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"os"
 	"testing"
 
 	"repro/internal/minipy"
@@ -13,23 +12,11 @@ import (
 // caches, interning, and dispatch restructuring. `make bench-go` runs them
 // through cmd/benchjson and compares against the committed BENCH_vm.json
 // baseline (captured on the register tier).
-//
-// BENCHVM_TIER selects the bytecode tier under test using the same spec
-// grammar as pybench -vm ("reg", "stack", "reg-elide"; empty = register).
-// CI's bench-vm job runs the suite once per tier and uploads the two
-// benchjson documents side by side; only the register-tier run is gated
-// against the committed baseline.
 
-// benchConfig returns the interpreter config for the tier selected by
-// BENCHVM_TIER, failing the benchmark on an unknown spec.
+// benchConfig returns the interpreter config every microkernel runs under.
 func benchConfig(b *testing.B) Config {
 	b.Helper()
-	spec := os.Getenv("BENCHVM_TIER")
-	tier, elide, ok := TierSpec(spec)
-	if !ok {
-		b.Fatalf("BENCHVM_TIER=%q is not a tier spec (want reg, stack, or reg-elide)", spec)
-	}
-	return Config{Mode: ModeInterp, Tier: tier, RegElide: elide}
+	return Config{Mode: ModeInterp}
 }
 
 // compileBench compiles src once and fails the benchmark on error.

@@ -180,35 +180,42 @@ func TestDifferentialStepsMatch(t *testing.T) {
 }
 
 // TestDifferentialTiersRandomPrograms cross-validates the register tier
-// against the stack tier on randomly generated programs, in both engine
-// modes: identical printed output and identical semantic step counts. This
-// sweeps program shapes (nested conditionals, augmented assignment, bounded
-// while loops, floor-division guards) that the curated workload suite holds
-// fixed, so a quickening guard or escape-point boxing bug with a narrow
-// trigger still gets hunted.
+// against the stack reference on randomly generated programs, in both
+// engine modes: identical printed output, execution counters and JIT
+// statistics. This sweeps program shapes (nested conditionals, augmented
+// assignment, bounded while loops, floor-division guards) that the curated
+// workload suite holds fixed, so a quickening guard or escape-point boxing
+// bug with a narrow trigger still gets hunted.
 func TestDifferentialTiersRandomPrograms(t *testing.T) {
 	g := &progGen{rng: stats.NewRNG(1618)}
 	const programs = 200
+	type outcome struct {
+		out      string
+		counters Counters
+		jit      [3]int
+	}
 	for i := 0; i < programs; i++ {
 		src := g.generate()
-		run := func(mode Mode, tier Tier) (string, uint64) {
+		run := func(mode Mode, newInterp func(Config) *Interp) outcome {
 			var buf bytes.Buffer
-			in := New(Config{Mode: mode, Tier: tier, Out: &buf, MaxSteps: 5_000_000})
+			in := newInterp(Config{Mode: mode, Out: &buf, MaxSteps: 5_000_000})
 			if _, err := in.RunSource(src); err != nil {
-				t.Fatalf("program %d (%s/%s) failed: %v\n%s", i, mode, tier, err, src)
+				t.Fatalf("program %d (%s) failed: %v\n%s", i, mode, err, src)
 			}
-			return buf.String(), in.CountersSnapshot().Steps
+			var o outcome
+			o.out, o.counters = buf.String(), in.CountersSnapshot()
+			o.jit[0], o.jit[1], o.jit[2] = in.JITStats()
+			return o
 		}
 		for _, mode := range []Mode{ModeInterp, ModeJIT} {
-			or, sr := run(mode, TierRegister)
-			os, ss := run(mode, TierStack)
-			if or != os {
+			reg, stack := run(mode, New), run(mode, NewStackReference)
+			if reg.out != stack.out {
 				t.Fatalf("program %d (%s): tiers disagree\nreg:   %q\nstack: %q\n%s",
-					i, mode, or, os, src)
+					i, mode, reg.out, stack.out, src)
 			}
-			if sr != ss {
-				t.Fatalf("program %d (%s): step counts diverge: reg %d, stack %d\n%s",
-					i, mode, sr, ss, src)
+			if reg != stack {
+				t.Fatalf("program %d (%s): accounting diverges:\nreg:   %+v\nstack: %+v\n%s",
+					i, mode, reg, stack, src)
 			}
 		}
 	}

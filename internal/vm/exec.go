@@ -4,6 +4,35 @@ import (
 	"repro/internal/minipy"
 )
 
+// This file is the stack interpreter, kept only as the reference the
+// register tier (rexec.go) is differentially tested against: no production
+// path reaches it, and tests enter it through export_test.go.
+
+// callFunctionStack runs a *Function on the stack interpreter: the frame
+// setup (pooled locals, cell capture) and dispatch loop.
+func (in *Interp) callFunctionStack(fn *minipy.Function, args []minipy.Value) (minipy.Value, error) {
+	code := fn.Code
+	if len(args) != code.NumParams {
+		return nil, typeErr("%s() takes %d arguments (%d given)",
+			code.Name, code.NumParams, len(args))
+	}
+	locals := in.getLocals(len(code.LocalNames))
+	copy(locals, args)
+	var cells []*minipy.Cell
+	if n := code.NumCells(); n > 0 {
+		cells = make([]*minipy.Cell, n)
+		for i, slot := range code.CellLocals {
+			cells[i] = &minipy.Cell{V: locals[slot]}
+		}
+		copy(cells[len(code.CellLocals):], fn.Free)
+	}
+	ret, err := in.runFrame(code, locals, cells)
+	// Cells copy values out at creation and the frame is gone, so the
+	// locals array is dead here and safe to recycle.
+	in.putLocals(locals)
+	return ret, err
+}
+
 // runFrame executes one function (or module) activation: it takes a pooled
 // operand stack sized by the code's verified high-water mark and enters the
 // dispatch loop. The loop lives in frameLoop so its stack slice is never
@@ -11,7 +40,7 @@ import (
 // append through a heap cell).
 // benchlint:hotpath
 // benchlint:allow boxedhot — the stack tier's frame contract is boxed by
-// design; the register tier enters through regRunFrame instead
+// design; the register tier enters through runFrameReg instead
 func (in *Interp) runFrame(code *minipy.Code, locals []minipy.Value, cells []*minipy.Cell) (minipy.Value, error) {
 	in.depth++
 	if in.depth > in.maxDepth {

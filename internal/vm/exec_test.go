@@ -235,28 +235,83 @@ func TestBuiltins(t *testing.T) {
 	wantOut(t, "print(bool(0), bool([]), bool('a'))", "False False True\n")
 }
 
+// unlowerable returns a body the stack verifier's flow rules would accept
+// at run time but the register lowering rejects: the join at pc 3 is
+// reached with operand depth 0 (jump) and 1 (fall-through).
+func unlowerable() []minipy.Instr {
+	return []minipy.Instr{
+		{Op: minipy.OpLoadConst, Arg: 0},
+		{Op: minipy.OpJumpIfFalse, Arg: 3},
+		{Op: minipy.OpLoadConst, Arg: 0},
+		{Op: minipy.OpLoadConst, Arg: 0},
+		{Op: minipy.OpReturn},
+	}
+}
+
+// withUnlowerableFunc compiles src and replaces the body of its function f
+// with unlowerable(), leaving the module body itself lowerable.
+func withUnlowerableFunc(t *testing.T, src string) *minipy.Code {
+	t.Helper()
+	code, err := minipy.CompileSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range code.Consts {
+		if f, ok := k.(*minipy.Code); ok && f.Name == "f" {
+			f.Ops, f.Lines = unlowerable(), make([]int32, 5)
+			f.Consts = []minipy.Value{minipy.Int(1)}
+			return code
+		}
+	}
+	t.Fatal("no function f")
+	return nil
+}
+
 func TestErrors(t *testing.T) {
 	cases := []struct {
 		src  string
-		kind string
+		code *minipy.Code // run instead of src when set
+		kind string       // RuntimeError kind; "" expects a plain error containing msg
+		msg  string
 	}{
-		{"print(1 / 0)", "ZeroDivisionError"},
-		{"x = [1]\nprint(x[5])", "IndexError"},
-		{"d = {}\nprint(d['missing'])", "KeyError"},
-		{"print(undefined_name)", "NameError"},
-		{"print('a' + 1)", "TypeError"},
-		{"x = {}\nx[[1]] = 2", "TypeError"},
-		{"def f():\n    return x_local\n    x_local = 1\nf()", "NameError"},
-		{"def f(a):\n    return a\nf(1, 2)", "TypeError"},
+		{src: "print(1 / 0)", kind: "ZeroDivisionError"},
+		{src: "x = [1]\nprint(x[5])", kind: "IndexError"},
+		{src: "d = {}\nprint(d['missing'])", kind: "KeyError"},
+		{src: "print(undefined_name)", kind: "NameError"},
+		{src: "print('a' + 1)", kind: "TypeError"},
+		{src: "x = {}\nx[[1]] = 2", kind: "TypeError"},
+		{src: "def f():\n    return x_local\n    x_local = 1\nf()", kind: "NameError"},
+		{src: "def f(a):\n    return a\nf(1, 2)", kind: "TypeError"},
+		// Code the register lowering rejects is an error from RunModule or
+		// from the call that reaches it — never executed some other way.
+		{src: "unlowerable module", msg: "inconsistent depth", code: &minipy.Code{
+			Name: "<module>", IsModule: true, Ops: unlowerable(),
+			Consts: []minipy.Value{minipy.Int(1)}, Lines: make([]int32, 5)}},
+		{src: "unlowerable function", msg: "inconsistent depth",
+			code: withUnlowerableFunc(t, "def f():\n    return 1\nf()")},
 	}
 	for _, c := range cases {
 		in := New(Config{})
-		_, err := in.RunSource(c.src)
+		var err error
+		if c.code != nil {
+			if _, perr := Prepare(c.code); perr == nil {
+				t.Errorf("src %q: Prepare accepted code that does not lower", c.src)
+			}
+			_, err = in.RunModule(c.code)
+		} else {
+			_, err = in.RunSource(c.src)
+		}
 		if err == nil {
-			t.Errorf("src %q: expected %s, got nil", c.src, c.kind)
+			t.Errorf("src %q: expected %s%s, got nil", c.src, c.kind, c.msg)
 			continue
 		}
 		re, ok := err.(*RuntimeError)
+		if c.kind == "" {
+			if ok || !strings.Contains(err.Error(), c.msg) {
+				t.Errorf("src %q: expected an error containing %q, got %T: %v", c.src, c.msg, err, err)
+			}
+			continue
+		}
 		if !ok {
 			t.Errorf("src %q: expected RuntimeError, got %T: %v", c.src, err, err)
 			continue

@@ -1,93 +1,101 @@
 package vm
 
 import (
-	"sync"
-
 	"repro/internal/minipy"
 )
 
-// This file is the register tier: the default execution engine. Stack
-// bytecode is lowered 1:1 to three-address register form (minipy.
-// LowerToRegister), values live in tagged word-sized register slots
-// (rval.go), and hot sites quicken in place after observing a monomorphic
-// operand shape. The lowering preserves pcs, cost keys (RInstr.Src), and
-// immediates (RInstr.Arg), so every simulated counter, probe event, and
-// tracer record is bit-identical to the stack tier's — benchgate
-// -equivalence enforces this on the committed baseline. The speedup is
-// purely host-level: no operand-stack slice traffic, no boxing of scalar
-// intermediates, and one register file replaces the stack+locals pair.
+// This file is the register tier: the only production executor. Stack
+// bytecode — the compiler's IR — is lowered 1:1 to three-address register
+// form (minipy.LowerToRegister), values live in tagged word-sized register
+// slots (rval.go), and hot sites quicken in place after observing a
+// monomorphic operand shape. The lowering preserves pcs, cost keys
+// (RInstr.Src), and immediates (RInstr.Arg), so every simulated counter,
+// probe event, and tracer record is bit-identical to what the stack
+// interpreter (exec.go, the test reference) produces — the differential
+// tests and benchgate -equivalence on the committed baseline enforce
+// this. The speedup is purely host-level: no operand-stack slice traffic,
+// no boxing of scalar intermediates, and one register file replaces the
+// stack+locals pair.
 
-// regTemplate is the immutable, process-wide register form of one code
-// object: the verified lowering plus pre-tagged constants. Templates never
-// mutate (VerifyRegister rejects quickened opcodes in them), so they are
-// shared across Interps; each Interp quickens a private copy of the op
-// array (codeState.rops).
+// regTemplate is the immutable register form of one code object: the
+// verified lowering plus pre-tagged constants. Templates never mutate
+// (VerifyRegister rejects quickened opcodes in them), so every Interp
+// shares them and quickens a private copy of the op array (codeState.rops).
 type regTemplate struct {
 	rc      *minipy.RCode
 	rconsts []rslot
 }
 
-// regTemplates / regTemplatesElided cache lowering per code object. The
-// elided variant (ablation A9) changes the executed stream, so it gets its
-// own cache. A nil entry records a lowering or verification failure: that
-// code object sticks to the stack tier for the life of the process.
-var (
-	regTemplates       sync.Map // *minipy.Code -> *regTemplate (nil = failed)
-	regTemplatesElided sync.Map
-)
-
-// lowerCached returns the (possibly move-elided) register template for
-// code, lowering and verifying on first use.
-func lowerCached(code *minipy.Code, elide bool) *regTemplate {
-	m := &regTemplates
+// lowerTemplate lowers code to register form (move-elided for ablation A9)
+// and verifies it. Unverified register code never executes: a failure is
+// an error, never a switch to another executor.
+func lowerTemplate(code *minipy.Code, elide bool) (*regTemplate, error) {
+	rc, err := minipy.LowerToRegister(code)
+	if err != nil {
+		return nil, err
+	}
 	if elide {
-		m = &regTemplatesElided
+		rc = minipy.ElideMoves(rc)
 	}
-	if v, ok := m.Load(code); ok {
-		rt, _ := v.(*regTemplate)
-		return rt
+	if err := minipy.VerifyRegister(rc); err != nil {
+		return nil, err
 	}
-	var rt *regTemplate
-	if rc, err := minipy.LowerToRegister(code); err == nil {
-		if elide {
-			rc = minipy.ElideMoves(rc)
+	rconsts := make([]rslot, len(code.Consts))
+	for i, c := range code.Consts {
+		rconsts[i] = runbox(c)
+	}
+	return &regTemplate{rc: rc, rconsts: rconsts}, nil
+}
+
+// Program is a module compiled for the register tier: the module code and
+// the verified templates of it and every nested code object. It is
+// immutable, so any number of Interps may run it concurrently, and its
+// templates live exactly as long as it does.
+type Program struct {
+	Code      *minipy.Code
+	templates map[*minipy.Code]*regTemplate
+}
+
+// Prepare lowers and verifies code and every nested code object. A failure
+// is a compile error: no Interp could run the program.
+func Prepare(code *minipy.Code) (*Program, error) {
+	p := &Program{Code: code, templates: map[*minipy.Code]*regTemplate{}}
+	for todo := []*minipy.Code{code}; len(todo) > 0; {
+		c := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		rt, err := lowerTemplate(c, false)
+		if err != nil {
+			return nil, err
 		}
-		// Trust-but-verify: a lowering bug must demote to the stack tier,
-		// never execute unchecked.
-		if minipy.VerifyRegister(rc) == nil {
-			rconsts := make([]rslot, len(code.Consts))
-			for i, c := range code.Consts {
-				rconsts[i] = runbox(c)
+		p.templates[c] = rt
+		for _, k := range c.Consts {
+			if sub, ok := k.(*minipy.Code); ok {
+				todo = append(todo, sub)
 			}
-			rt = &regTemplate{rc: rc, rconsts: rconsts}
 		}
 	}
-	m.Store(code, rt)
-	return rt
+	return p, nil
 }
 
 // regCode resolves (lazily creating) the register state for code on this
-// Interp: the shared template plus the private quickenable op copy. Returns
-// nil when lowering failed — the caller falls back to the stack tier, and
-// the failure is sticky per code object.
-func (in *Interp) regCode(code *minipy.Code, st *codeState) *regTemplate {
+// Interp: the running Program's template, else one lowered on first use.
+func (in *Interp) regCode(code *minipy.Code, st *codeState) (*regTemplate, error) {
 	if st.rt != nil {
-		return st.rt
+		return st.rt, nil
 	}
-	if st.rfail {
-		return nil
-	}
-	rt := lowerCached(code, in.regElide)
+	rt := in.templates[code]
 	if rt == nil {
-		st.rfail = true
-		return nil
+		var err error
+		if rt, err = lowerTemplate(code, in.regElide); err != nil {
+			return nil, err
+		}
 	}
 	st.rt = rt
 	// Copy-on-quicken: share the immutable template op stream until the
 	// first in-place rewrite. Code that never quickens (module bodies,
 	// straight-line glue) never pays for a private copy.
 	st.rops = rt.rc.Ops
-	return rt
+	return rt, nil
 }
 
 // quickenOp rewrites the opcode at pc on this Interp's private op stream,
@@ -114,16 +122,9 @@ func (in *Interp) callFunctionReg(fn *minipy.Function, args []rslot) (rslot, err
 			code.Name, code.NumParams, len(args))
 	}
 	st := in.state(code)
-	rt := in.regCode(code, st)
-	if rt == nil {
-		// Sticky fallback: box the args and run the stack tier.
-		boxed := in.getLocals(len(args))
-		for i := range args {
-			boxed[i] = rbox(&args[i])
-		}
-		v, err := in.callFunctionStack(fn, boxed)
-		in.putLocals(boxed)
-		return runbox(v), err
+	rt, err := in.regCode(code, st)
+	if err != nil {
+		return rslot{}, err
 	}
 	regs := in.getRegs(rt.rc.NumRegs)
 	copy(regs, args)
@@ -142,32 +143,14 @@ func (in *Interp) callFunctionReg(fn *minipy.Function, args []rslot) (rslot, err
 
 // callFunctionRegBoxed is the boxed-argument entry into the register tier,
 // used by call() for external CallGlobal entries and for callables invoked
-// from builtins or the stack tier.
+// from builtins.
 func (in *Interp) callFunctionRegBoxed(fn *minipy.Function, args []minipy.Value) (minipy.Value, error) {
-	code := fn.Code
-	if len(args) != code.NumParams {
-		return nil, typeErr("%s() takes %d arguments (%d given)",
-			code.Name, code.NumParams, len(args))
-	}
-	st := in.state(code)
-	rt := in.regCode(code, st)
-	if rt == nil {
-		return in.callFunctionStack(fn, args)
-	}
-	regs := in.getRegs(rt.rc.NumRegs)
+	buf := in.getRegs(len(args))
 	for i, a := range args {
-		regs[i] = runbox(a)
+		buf[i] = runbox(a)
 	}
-	var cells []*minipy.Cell
-	if n := code.NumCells(); n > 0 {
-		cells = make([]*minipy.Cell, n)
-		for i, slot := range code.CellLocals {
-			cells[i] = &minipy.Cell{V: rbox(&regs[slot])}
-		}
-		copy(cells[len(code.CellLocals):], fn.Free)
-	}
-	ret, err := in.runFrameReg(code, rt, st, regs, cells)
-	in.putRegs(regs)
+	ret, err := in.callFunctionReg(fn, buf)
+	in.putRegs(buf)
 	return rbox(&ret), err
 }
 
@@ -997,8 +980,7 @@ done:
 // DisassembleQuickened renders this Interp's current register stream for
 // code — including any in-place quickening rewrites accumulated so far —
 // for debugging and byte-stable golden tests. Returns "" when the code
-// object has not executed on the register tier (no state, or stack-tier
-// fallback).
+// object has not executed on the register tier.
 func (in *Interp) DisassembleQuickened(code *minipy.Code) string {
 	st, ok := in.codeStates[code]
 	if !ok || st.rt == nil {

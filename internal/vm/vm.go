@@ -24,63 +24,27 @@ func (m Mode) String() string {
 	return "interp"
 }
 
-// Tier selects the bytecode form the engine executes. Both tiers implement
-// the same simulated machine: the register tier's instruction stream,
-// counters, probe events, and tracer records are bit-identical to the stack
-// tier's under the default 1:1 lowering (benchgate -equivalence enforces
-// this), so the tier choice is purely a host-performance knob.
-type Tier int
-
-const (
-	// TierRegister (the default) executes three-address register bytecode
-	// with tagged unboxed values and in-place quickening.
-	TierRegister Tier = iota
-	// TierStack executes the original stack bytecode — the escape hatch
-	// (-vm stack) and the equivalence baseline.
-	TierStack
-)
-
-func (t Tier) String() string {
-	if t == TierStack {
-		return "stack"
-	}
-	return "reg"
-}
-
-// TierFromString parses a -vm flag value ("reg" or "stack").
-func TierFromString(s string) (Tier, bool) {
-	t, elide, ok := TierSpec(s)
-	return t, ok && !elide
-}
-
-// TierSpec parses the full tier spec grammar used by harness.Options.VM
-// and controlapi.CampaignSpec.VM: "" or "reg" (register tier, default),
-// "stack" (stack interpreter), and "reg-elide" (register tier with the
+// TierSpec parses harness.Options.VM and controlapi.CampaignSpec.VM: "" or
+// "reg" (the register tier, the only executor) and "reg-elide" (with the
 // stream-changing move-elision pass — ablation A9, a distinct experiment
 // arm because executed-op counts drop).
-func TierSpec(s string) (tier Tier, elide bool, ok bool) {
+func TierSpec(s string) (elide bool, ok bool) {
 	switch s {
 	case "", "reg", "register":
-		return TierRegister, false, true
+		return false, true
 	case "reg-elide":
-		return TierRegister, true, true
-	case "stack":
-		return TierStack, false, true
+		return true, true
 	}
-	return TierRegister, false, false
+	return false, false
 }
 
 // Config configures one VM invocation.
 type Config struct {
 	Mode Mode
-	// Tier selects the bytecode tier. The zero value is TierRegister; set
-	// TierStack to force the stack interpreter (escape hatch, equivalence
-	// baseline).
-	Tier Tier
 	// RegElide enables the stream-changing register move-elision pass
-	// (ablation A9). Only honored by the register tier; it changes the
-	// executed instruction stream — and therefore the simulated counters —
-	// so it is opt-in and excluded from the default equivalence contract.
+	// (ablation A9). It changes the executed instruction stream — and
+	// therefore the simulated counters — so it is opt-in and excluded from
+	// the default equivalence contract.
 	RegElide bool
 	// Cost overrides the cost model; zero value means DefaultCostParams.
 	Cost CostParams
@@ -187,12 +151,17 @@ type Interp struct {
 	stackPool  [][]minipy.Value
 	localsPool [][]minipy.Value
 
-	// Register-tier state: the selected tier, the A9 move-elision flag, and
-	// the register-file pool (one rslot array replaces the stack+locals
-	// slice pair per activation).
-	tier     Tier
-	regElide bool
-	regArena regArena
+	// Register-tier state: the A9 move-elision flag, the running Program's
+	// templates, and the register-file pool (one rslot array replaces the
+	// stack+locals slice pair per activation).
+	regElide  bool
+	templates map[*minipy.Code]*regTemplate
+	regArena  regArena
+
+	// stackExec, when set, runs every function on the stack interpreter
+	// (exec.go). Only tests set it (export_test.go), to run the reference
+	// the register tier is differentially checked against.
+	stackExec func(in *Interp, fn *minipy.Function, args []minipy.Value) (minipy.Value, error)
 }
 
 // codeState is the per-invocation interpreter state of one code object. It
@@ -209,13 +178,11 @@ type codeState struct {
 	// attrs caches LOAD_ATTR class-method resolutions by pc, keyed on
 	// aepoch (nil when the code has no LOAD_ATTR sites).
 	attrs []aslot
-	// Register-tier state: the shared immutable template, this Interp's
-	// private quickenable op copy, and the sticky lowering-failure flag
-	// (set once, the code object then always runs on the stack tier).
+	// Register-tier state: the shared immutable template and this
+	// Interp's private quickenable op copy.
 	rt        *regTemplate
 	rops      []minipy.RInstr
 	ropsOwned bool
-	rfail     bool
 }
 
 // gslot is a monomorphic global-load cache entry: the value the name
@@ -341,7 +308,6 @@ func New(cfg Config) *Interp {
 		allocAddr: 0x10000, // leave a synthetic "low memory" hole
 		gver:      1,       // 0 means "never cached" in gslot entries
 		aepoch:    1,
-		tier:      cfg.Tier,
 		regElide:  cfg.RegElide,
 	}
 	if vt, ok := cfg.Tracer.(ValueTracer); ok {
@@ -367,9 +333,6 @@ func New(cfg Config) *Interp {
 
 // Mode reports the engine mode of this invocation.
 func (in *Interp) Mode() Mode { return in.cfg.Mode }
-
-// Tier reports the bytecode tier of this invocation.
-func (in *Interp) Tier() Tier { return in.tier }
 
 // CountersSnapshot returns the current execution accounting.
 func (in *Interp) CountersSnapshot() Counters {
@@ -433,21 +396,25 @@ func (in *Interp) memAccess(addr uint64, write bool) {
 }
 
 // RunModule executes compiled module code in this invocation's globals.
+// Code objects outside a running Program are lowered for this Interp on
+// first execution; a lowering failure is returned as an error.
 func (in *Interp) RunModule(code *minipy.Code) (minipy.Value, error) {
 	if !code.IsModule {
 		return nil, typeErr("RunModule requires module code")
 	}
 	in.invalidateCaches()
-	if in.tier == TierRegister {
-		st := in.state(code)
-		if rt := in.regCode(code, st); rt != nil {
-			regs := in.getRegs(rt.rc.NumRegs)
-			ret, err := in.runFrameReg(code, rt, st, regs, nil)
-			in.putRegs(regs)
-			return rbox(&ret), err
-		}
+	// A module body runs as a function with no parameters or cells.
+	return in.call(&minipy.Function{Code: code}, nil)
+}
+
+// RunProgram executes p's module body on the templates p prepared. The A9
+// elision arm (Config.RegElide) runs a different stream, so it lowers its
+// own templates per Interp instead.
+func (in *Interp) RunProgram(p *Program) (minipy.Value, error) {
+	if !in.regElide {
+		in.templates = p.templates
 	}
-	return in.runFrame(code, nil, nil)
+	return in.RunModule(p.Code)
 }
 
 // invalidateCaches bumps the inline-cache version counters. Called at every
@@ -482,10 +449,10 @@ func (in *Interp) CallGlobal(name string, args ...minipy.Value) (minipy.Value, e
 func (in *Interp) call(fn minipy.Value, args []minipy.Value) (minipy.Value, error) {
 	switch fn := fn.(type) {
 	case *minipy.Function:
-		if in.tier == TierRegister {
-			return in.callFunctionRegBoxed(fn, args)
+		if in.stackExec != nil {
+			return in.stackExec(in, fn, args)
 		}
-		return in.callFunctionStack(fn, args)
+		return in.callFunctionRegBoxed(fn, args)
 	case *minipy.BoundMethod:
 		// fn.Fn is always a *Function, which copies args into its own
 		// locals, so the prepend buffer can be pooled too.
@@ -520,30 +487,4 @@ func (in *Interp) call(fn minipy.Value, args []minipy.Value) (minipy.Value, erro
 		return inst, nil
 	}
 	return nil, typeErr("'%s' object is not callable", fn.TypeName())
-}
-
-// callFunctionStack runs a *Function on the stack tier: the original frame
-// setup (pooled locals, cell capture) and dispatch loop. The register tier
-// routes here for code objects whose lowering failed.
-func (in *Interp) callFunctionStack(fn *minipy.Function, args []minipy.Value) (minipy.Value, error) {
-	code := fn.Code
-	if len(args) != code.NumParams {
-		return nil, typeErr("%s() takes %d arguments (%d given)",
-			code.Name, code.NumParams, len(args))
-	}
-	locals := in.getLocals(len(code.LocalNames))
-	copy(locals, args)
-	var cells []*minipy.Cell
-	if n := code.NumCells(); n > 0 {
-		cells = make([]*minipy.Cell, n)
-		for i, slot := range code.CellLocals {
-			cells[i] = &minipy.Cell{V: locals[slot]}
-		}
-		copy(cells[len(code.CellLocals):], fn.Free)
-	}
-	ret, err := in.runFrame(code, locals, cells)
-	// Cells copy values out at creation and the frame is gone, so the
-	// locals array is dead here and safe to recycle.
-	in.putLocals(locals)
-	return ret, err
 }

@@ -7,13 +7,17 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/minipy"
+	"repro/internal/vm"
 )
 
-// Compiled pairs a workload's verified bytecode with its static-analysis
-// digest, both computed once per benchmark and cached together.
+// Compiled is the single product of one front-end pass over a workload,
+// cached per benchmark: its verified bytecode, the static-analysis digest,
+// and the Program of verified register templates the VM runs.
 type Compiled struct {
 	Code     *minipy.Code
 	Analysis *analysis.Summary
+	Program  *vm.Program
+	facts    *analysis.ModuleFacts // Code's interprocedural facts, for GetOpt
 }
 
 // CodeCache is a concurrency-safe compile-once cache. The parallel harness
@@ -47,26 +51,34 @@ func (c *CodeCache) Get(b Benchmark) (entry Compiled, hit bool, err error) {
 	if entry, hit = c.entries[b.Name]; hit {
 		return entry, true, nil
 	}
-	code, err := b.Compile()
+	rep, err := b.checked()
 	if err != nil {
 		return Compiled{}, false, err
 	}
-	// Compile already ran analysis.Check (error-free guarantee); rerunning
-	// the passes yields the full summary for report plumbing.
-	rep, err := analysis.Analyze(code)
-	if err != nil {
-		return Compiled{}, false, fmt.Errorf("workload %s: %w", b.Name, err)
+	if entry, err = prepared(b, rep.Facts().Module, rep.Summarize(), rep.Facts()); err != nil {
+		return Compiled{}, false, err
 	}
-	entry = Compiled{Code: code, Analysis: rep.Summarize()}
 	c.entries[b.Name] = entry
 	return entry, false, nil
+}
+
+// prepared lowers code into its Program and assembles the cache entry; a
+// lowering failure is a compile error.
+func prepared(b Benchmark, code *minipy.Code, sum *analysis.Summary,
+	facts *analysis.ModuleFacts) (Compiled, error) {
+	prog, err := vm.Prepare(code)
+	if err != nil {
+		return Compiled{}, fmt.Errorf("workload %s: %w", b.Name, err)
+	}
+	return Compiled{Code: code, Analysis: sum, Program: prog, facts: facts}, nil
 }
 
 // GetOpt returns the compiled entry for b at bytecode-optimization level
 // opt (see minipy.Optimize). Level <= 0 is the plain entry. Optimized
 // entries are cached under a level-qualified key and share the base entry's
 // analysis summary — the summary describes the source program, which the
-// optimizer does not change observably. The base code object is never
+// optimizer does not change observably — and the optimizer's facts come
+// from the base entry's interprocedural analysis. The base code object is never
 // mutated: every experiment arm holding a Compiled from Get still sees the
 // compiler's output.
 func (c *CodeCache) GetOpt(b Benchmark, opt int) (entry Compiled, hit bool, err error) {
@@ -89,12 +101,13 @@ func (c *CodeCache) GetOpt(b Benchmark, opt int) (entry Compiled, hit bool, err 
 	if entry, hit = c.entries[key]; hit {
 		return entry, true, nil
 	}
-	facts := analysis.OptimizationFacts(base.Code)
-	oc, err := minipy.Optimize(base.Code, opt, facts)
+	oc, err := minipy.Optimize(base.Code, opt, base.facts.OptimizationFacts())
 	if err != nil {
 		return Compiled{}, false, fmt.Errorf("workload %s: optimize level %d: %w", b.Name, opt, err)
 	}
-	entry = Compiled{Code: oc, Analysis: base.Analysis}
+	if entry, err = prepared(b, oc, base.Analysis, nil); err != nil {
+		return Compiled{}, false, err
+	}
 	c.entries[key] = entry
 	return entry, false, nil
 }

@@ -1,8 +1,13 @@
 package workloads
 
 import (
+	"errors"
+	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/minipy"
 )
 
 func TestCodeCacheGetAndInventory(t *testing.T) {
@@ -18,8 +23,8 @@ func TestCodeCacheGetAndInventory(t *testing.T) {
 	if hit {
 		t.Fatal("first Get must be a miss")
 	}
-	if e1.Code == nil || e1.Analysis == nil {
-		t.Fatal("entry must carry code and analysis digest")
+	if e1.Code == nil || e1.Analysis == nil || e1.Program == nil || e1.Program.Code != e1.Code {
+		t.Fatal("entry must carry code, analysis digest and the prepared program")
 	}
 	e2, hit, err := c.Get(fib)
 	if err != nil {
@@ -47,6 +52,46 @@ func TestCodeCacheCompileErrorNotCached(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatal("failed compiles must not be cached")
+	}
+	// A statically broken program is rejected exactly as analysis.Check
+	// rejects it, from the cache's single analysis pass.
+	src := "def run():\n    return x_local\n    x_local = 1\n"
+	code, err := minipy.CompileSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := analysis.Check(code)
+	var ae *analysis.Error
+	_, _, err = c.Get(Benchmark{Name: "static", Source: src})
+	if want == nil || !errors.As(err, &ae) || ae.Error() != want.Error() {
+		t.Fatalf("cache error %v, want analysis.Check's %v", err, want)
+	}
+}
+
+// TestGetOptReusesBaseFacts checks that optimizer facts derived from the
+// base entry's analysis equal a fresh analysis.OptimizationFacts, so
+// GetOpt's single interprocedural pass optimizes exactly as before.
+func TestGetOptReusesBaseFacts(t *testing.T) {
+	c := NewCodeCache()
+	for _, b := range append(Suite(), Extended()...) {
+		base, _, err := c.Get(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(base.facts.OptimizationFacts(), analysis.OptimizationFacts(base.Code)) {
+			t.Errorf("%s: optimizer facts differ from a fresh analysis", b.Name)
+		}
+		opt, _, err := c.GetOpt(b, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := minipy.Optimize(base.Code, 3, analysis.OptimizationFacts(base.Code))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opt.Code.Disassemble() != want.Disassemble() {
+			t.Errorf("%s: GetOpt -opt 3 code differs from a freshly optimized copy", b.Name)
+		}
 	}
 }
 

@@ -41,18 +41,28 @@ type Benchmark struct {
 // Compile compiles, bytecode-verifies, and statically analyzes the
 // benchmark source, caching nothing (callers cache). Every compile path —
 // CLI, harness, supervised fault-injection recompiles, generated workloads —
-// funnels through here, so a miscompiled or statically-broken program
-// surfaces as a positioned per-benchmark error, never a VM fault at a
-// distance.
+// funnels through here or through CodeCache, which share checked, so a
+// miscompiled or statically-broken program surfaces as a positioned
+// per-benchmark error, never a VM fault at a distance.
 func (b Benchmark) Compile() (*minipy.Code, error) {
-	code, err := minipy.CompileSource(b.Source)
+	rep, err := b.checked()
 	if err != nil {
+		return nil, err
+	}
+	return rep.Facts().Module, nil
+}
+
+// checked runs the front end once (Analyze) and rejects the program
+// exactly as analysis.Check does.
+func (b Benchmark) checked() (*analysis.Report, error) {
+	rep, err := b.Analyze()
+	if err != nil {
+		return nil, err
+	}
+	if err := rep.Err(); err != nil {
 		return nil, fmt.Errorf("workload %s: %w", b.Name, err)
 	}
-	if err := analysis.Check(code); err != nil {
-		return nil, fmt.Errorf("workload %s: %w", b.Name, err)
-	}
-	return code, nil
+	return rep, nil
 }
 
 // Analyze compiles the benchmark and runs the full static-analysis report
