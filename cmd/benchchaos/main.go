@@ -190,17 +190,14 @@ func soakRound(cfg config, round int, stdout, stderr io.Writer) int {
 	var res *harness.Result
 	segments := 0
 	for {
-		store := harness.NewJournalCheckpointFS(chaosFS, journal)
 		so := base
 		so.Isolation = iso
-		so.Checkpoint = store
+		so.Checkpoint = harness.NewJournalCheckpointFS(chaosFS, journal)
 		if segments < cfg.crashes {
 			so.CrashAfter = 1 + int(crashRNG.Uint64()%uint64(maxInt(1, cfg.invocations/2)))
 		}
 		res, err = harness.NewSupervisor(harness.NewRunner(), so).
 			RunParallel(b, opts, harness.ParallelOptions{Workers: cfg.workers, Policy: harness.PolicyForce})
-		//benchlint:allow uncheckederr — segments crash by design; recovery replays the journal
-		store.Close()
 		segments++
 		if errors.Is(err, harness.ErrCrashPoint) {
 			if cfg.verbose {

@@ -22,10 +22,10 @@
 //     experiments replay bit-identically.
 //   - uncheckederr: statement-position calls that drop error returns from
 //     the durable-write surface — os write-path functions (Remove, Rename,
-//     WriteFile, ...) and WAL/perfstore methods (Append, Rotate, Close,
-//     Sync, Flush), bare or deferred — must handle the error or carry
+//     WriteFile, ...) and WAL/perfstore methods (Append, Close, Sync,
+//     Flush), bare or deferred — must handle the error or carry
 //     //benchlint:allow uncheckederr with a reason. A campaign journal
-//     whose rotation failed silently is how crash recovery loses data.
+//     whose append failed silently is how crash recovery loses data.
 //
 // Usage:
 //

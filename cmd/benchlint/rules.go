@@ -244,7 +244,7 @@ func (l *linter) checkGlobalRand(call *ast.CallExpr, pkg, fn string) {
 
 // uncheckedOSFuncs are the os package's write-path functions: each returns
 // only an error, so calling one in statement position silently swallows
-// the failure — a journal rotation that didn't happen, a result file that
+// the failure — a journal repair that didn't happen, a result file that
 // was never renamed into place.
 var uncheckedOSFuncs = map[string]bool{
 	"Remove": true, "RemoveAll": true, "Rename": true, "Mkdir": true,
@@ -253,14 +253,14 @@ var uncheckedOSFuncs = map[string]bool{
 }
 
 // uncheckedMethods are the method names of the repository's durable-write
-// surface — the WAL journals (Append/Rotate/Close), the perfstore
+// surface — the WAL journals (Append/Close), the perfstore
 // (Append/Close), and buffered writers (Flush/Sync) — plus Close itself,
 // whose error is the only place a deferred final write can fail. The match
 // is syntactic (any receiver), which is exactly the point: every dropped
 // error on a name in this set deserves either handling or an explicit
 // //benchlint:allow uncheckederr with a reason.
 var uncheckedMethods = map[string]bool{
-	"Append": true, "Rotate": true, "Close": true, "Sync": true, "Flush": true,
+	"Append": true, "Close": true, "Sync": true, "Flush": true,
 }
 
 // checkUncheckedErr enforces the durable-write invariant: error returns

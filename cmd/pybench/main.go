@@ -88,7 +88,7 @@ func main() {
 	}
 	var (
 		list        = flag.Bool("list", false, "list benchmarks and experiment ids")
-		exp         = flag.String("exp", "", "experiment id (T1..T5, F1..F8, A1..A9) or 'all'")
+		exp         = flag.String("exp", "", "experiment id (T1..T5, F1..F8, A1..A7, A9) or 'all'")
 		bench       = flag.String("bench", "", "run a single benchmark experiment")
 		mode        = flag.String("mode", "interp", "engine for -bench: interp or jit")
 		invocations = flag.Int("invocations", 0, "invocations per experiment (0 = default)")
@@ -112,7 +112,7 @@ func main() {
 		collapsed   = flag.String("collapsed", "", "with -profile: also write folded call stacks to FILE (flamegraph.pl / speedscope format)")
 		workers     = flag.Int("workers", 1, "worker shards for -bench/-suite/-exp invocation execution (1 = sequential; the sample set is identical either way)")
 		parPolicy   = flag.String("parallel-policy", "guard", "interference-guard policy for -workers > 1: guard (flag contention), fallback (revert to sequential), force (skip probes)")
-		optLevel    = flag.Int("opt", 0, "bytecode-optimization level for -bench/-dis: 0 = off, 1 = peephole, 2 = +superinstructions, 3 = +certificate-gated rewrites (changes the simulated opcode stream; distinct experiment arms, see ablations A7/A8)")
+		optLevel    = flag.Int("opt", 0, "bytecode-optimization level for -bench/-dis, 0..2: 0 = off, 1 = peephole, 2 = +superinstructions (changes the simulated opcode stream; a distinct experiment arm, see ablation A7)")
 		vmTier      = flag.String("vm", "", "register stream for -bench: reg (default) or reg-elide (move-elided stream, ablation A9)")
 		isolate     = flag.Bool("isolate", false, "run each invocation attempt in a watchdogged worker subprocess (crash isolation; the sample set is bit-identical to in-process execution)")
 		watchdog    = flag.Duration("watchdog", 0, "with -isolate: per-attempt deadline before a hung worker is killed (0 = 30s default)")
@@ -768,6 +768,9 @@ func doProfile(name, collapsedPath string) error {
 
 // doDisassemble prints a benchmark's compiled bytecode.
 func doDisassemble(name string, opt int) error {
+	if err := minipy.CheckOptLevel(opt); err != nil {
+		return usageError{err}
+	}
 	b, ok := workloads.ByName(name)
 	if !ok {
 		return unknownBenchmark(name)

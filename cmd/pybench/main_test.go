@@ -83,6 +83,15 @@ func TestDoBenchErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "reg-elide") {
 		t.Fatalf("-vm stack: want a spec error listing the tiers, got %v", err)
 	}
+	// An -opt level outside 0..2 is a spec error (exit 2), never clamped.
+	for _, level := range []int{3, -1} {
+		bad := benchSpec("fib", "interp", 0, 0, 0, "")
+		bad.Opt = level
+		if err := doBench(bad, "", "", false, noObs()); !errors.As(err, &se) ||
+			!strings.Contains(err.Error(), "out of range 0..2") {
+			t.Fatalf("-opt %d: want a spec error, got %v", level, err)
+		}
+	}
 }
 
 func TestDoProfileAndDisassembleErrors(t *testing.T) {
@@ -91,6 +100,13 @@ func TestDoProfileAndDisassembleErrors(t *testing.T) {
 	}
 	if err := doDisassemble("no-such-benchmark", 0); err == nil {
 		t.Fatal("unknown benchmark must error")
+	}
+	// An -opt level outside 0..2 is a usage error (exit 2), never clamped.
+	for _, level := range []int{3, -1} {
+		var ue usageError
+		if err := doDisassemble("fib", level); !errors.As(err, &ue) {
+			t.Fatalf("-dis fib -opt %d: want a usage error, got %v", level, err)
+		}
 	}
 }
 

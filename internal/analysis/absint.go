@@ -202,20 +202,6 @@ type callFact struct {
 	args []ival
 }
 
-// guardFact marks a comparison whose outcome the intervals prove constant
-// and whose syntactic window is rewritable (see factgates.go).
-type guardFact struct {
-	taken bool
-}
-
-// foldSite marks a call of a bound function with all-constant arguments,
-// a candidate for pure-call folding (validated later against effects).
-type foldSite struct {
-	name  string
-	argc  int
-	start int // pc of the LOAD_GLOBAL pushing the callee
-}
-
 // absRun is the converged result of abstractly interpreting one code
 // object.
 type absRun struct {
@@ -252,14 +238,6 @@ type absRun struct {
 	mutatesNonFresh bool
 	mayRaise        bool
 	usesIO          bool
-
-	guards map[int]guardFact
-	folds  map[int]foldSite
-
-	// safeLoads[pc]: the load at pc (OpLoadConst, or OpLoadLocal of a
-	// definitely-assigned slot) can never raise — eliding it removes no
-	// observable behavior.
-	safeLoads map[int]bool
 }
 
 // absEnv is the module-level environment shared by every per-function run.
@@ -326,15 +304,12 @@ func entryState(code *minipy.Code, params []ival) *astate {
 func runAbs(g *Graph, env *absEnv, params []ival) *absRun {
 	code := g.Code
 	r := &absRun{
-		code:      code,
-		params:    params,
-		claims:    map[int]ival{},
-		calls:     map[int]callFact{},
-		escaped:   map[string]bool{},
-		trips:     map[int]ival{},
-		guards:    map[int]guardFact{},
-		folds:     map[int]foldSite{},
-		safeLoads: map[int]bool{},
+		code:    code,
+		params:  params,
+		claims:  map[int]ival{},
+		calls:   map[int]callFact{},
+		escaped: map[string]bool{},
+		trips:   map[int]ival{},
 		// returnIv starts ⊥ and joins every OpReturn's value.
 		returnIv: ivBottom,
 	}
@@ -594,16 +569,11 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 		v := constAbsv(code.Consts[arg])
 		push(v)
 		r.claim(pc, v, record)
-		if record {
-			r.safeLoads[pc] = true
-		}
 
 	case minipy.OpLoadLocal:
 		v := st.locals[arg]
 		if v.unbound {
 			raise()
-		} else if record {
-			r.safeLoads[pc] = true
 		}
 		v.unbound = false
 		push(v)
@@ -685,7 +655,7 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 		bop := minipy.BinOpCode(ins.Arg)
 		b := pop()
 		a := pop()
-		v := r.binaryAbs(bop, a, b, pc, record)
+		v := r.binaryAbs(bop, a, b, record)
 		push(v)
 		r.claim(pc, v, record)
 
@@ -931,19 +901,13 @@ func (r *absRun) loadAttr(target absv, name string, record bool) absv {
 }
 
 // binaryAbs is the OpBinary transfer function.
-func (r *absRun) binaryAbs(bop minipy.BinOpCode, a, b absv, pc int, record bool) absv {
+func (r *absRun) binaryAbs(bop minipy.BinOpCode, a, b absv, record bool) absv {
 	if record && isDivOrMod(bop) {
 		r.noteDiv(b)
 	}
 	if isCompare(bop) {
-		if record {
-			if _, decided := ivCompare(bop, a.iv, b.iv); decided {
-				res, _ := ivCompare(bop, a.iv, b.iv)
-				r.guards[pc] = guardFact{taken: res}
-			}
-			if !comparable(a, b) {
-				r.mayRaise = true
-			}
+		if record && !comparable(a, b) {
+			r.mayRaise = true
 		}
 		return avScalar(cBool)
 	}
@@ -1026,9 +990,6 @@ func (r *absRun) callAbs(env *absEnv, st *astate, pc, argc int, record bool) {
 					ivs[i] = a.iv
 				}
 				r.calls[pc] = callFact{name: name, argc: argc, args: ivs}
-				if allConstScalars(r.code, pc, argc, name) {
-					r.folds[pc] = foldSite{name: name, argc: argc, start: pc - argc - 1}
-				}
 			}
 			ret, ok := env.retIv[name]
 			if !ok {
@@ -1065,32 +1026,6 @@ func (r *absRun) callAbs(env *absEnv, st *astate, pc, argc int, record bool) {
 	}
 	st.stack = append(st.stack, res)
 	r.claim(pc, res, record)
-}
-
-// allConstScalars reports whether the call at pc is syntactically
-// LOAD_GLOBAL name; LOAD_CONST×argc; CALL with scalar constants — the
-// foldable-window shape.
-func allConstScalars(code *minipy.Code, pc, argc int, name string) bool {
-	start := pc - argc - 1
-	if start < 0 {
-		return false
-	}
-	ins := code.Ops[start]
-	if ins.Op != minipy.OpLoadGlobal || code.Names[ins.Arg] != name {
-		return false
-	}
-	for i := start + 1; i < pc; i++ {
-		k := code.Ops[i]
-		if k.Op != minipy.OpLoadConst {
-			return false
-		}
-		switch code.Consts[k.Arg].(type) {
-		case minipy.Int, minipy.Float, minipy.Bool, minipy.Str, minipy.NoneType:
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // builtinCallAbs models the deterministic builtins' return values.

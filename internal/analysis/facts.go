@@ -132,9 +132,6 @@ type ModuleFacts struct {
 	Bound StepBound
 	// Determinism carries the audit result (shared with the Certificate).
 	Determinism Determinism
-
-	// graphs caches the per-code CFGs the analysis was computed over.
-	graphs map[*minipy.Code]*Graph
 }
 
 // ClaimsFor returns the interval claims for a code object the facts were

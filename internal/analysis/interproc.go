@@ -260,7 +260,6 @@ func InterprocAnalyze(module *minipy.Code, mctx *modCtx) *ModuleFacts {
 		Callee:      callee,
 		Recursive:   recursive,
 		Determinism: auditDeterminism(direct, codes),
-		graphs:      graphs,
 	}
 	m.FuncBounds, m.Bound = computeStepBounds(m, graphs)
 	return m

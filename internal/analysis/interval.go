@@ -261,57 +261,3 @@ func powOv(base, exp int64) (int64, bool) {
 	}
 	return r, true
 }
-
-// ivCompare decides a comparison over two proven-int operands when their
-// ranges force one outcome. decided=false means both outcomes are possible
-// (or the operands are not proven ints).
-func ivCompare(op minipy.BinOpCode, a, b ival) (result, decided bool) {
-	if !a.isInt() || !b.isInt() {
-		return false, false
-	}
-	switch op {
-	case minipy.BinLt:
-		if a.hi < b.lo {
-			return true, true
-		}
-		if a.lo >= b.hi {
-			return false, true
-		}
-	case minipy.BinLe:
-		if a.hi <= b.lo {
-			return true, true
-		}
-		if a.lo > b.hi {
-			return false, true
-		}
-	case minipy.BinGt:
-		if a.lo > b.hi {
-			return true, true
-		}
-		if a.hi <= b.lo {
-			return false, true
-		}
-	case minipy.BinGe:
-		if a.lo >= b.hi {
-			return true, true
-		}
-		if a.hi < b.lo {
-			return false, true
-		}
-	case minipy.BinEq:
-		if a.isConst() && b.isConst() && a.lo == b.lo {
-			return true, true
-		}
-		if a.hi < b.lo || b.hi < a.lo {
-			return false, true
-		}
-	case minipy.BinNe:
-		if a.hi < b.lo || b.hi < a.lo {
-			return true, true
-		}
-		if a.isConst() && b.isConst() && a.lo == b.lo {
-			return false, true
-		}
-	}
-	return false, false
-}

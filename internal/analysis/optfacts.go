@@ -4,26 +4,16 @@ import "repro/internal/minipy"
 
 // OptimizationFacts computes the analysis facts consumed by the bytecode
 // optimizer (minipy.Optimize): dead local stores, derived from the same
-// liveness dataflow that backs the dead-store diagnostic, plus the
-// fact-gated -opt 3 rewrites licensed by the interprocedural certificate —
-// pure-call constant folds and elidable compare guards (DESIGN.md §14).
-// Facts are keyed by *Code pointer and pc in the UNOPTIMIZED instruction
-// stream; the optimizer applies them before any pass that renumbers
-// instructions. Recurses over nested code objects in the constant pool.
+// liveness dataflow that backs the dead-store diagnostic. Facts are keyed
+// by *Code pointer and pc in the UNOPTIMIZED instruction stream; the
+// optimizer applies them before any pass that renumbers instructions.
+// Recurses over nested code objects in the constant pool.
 //
 // Loop-variable stores (`for _ in range(n)`) are included: the store is
 // provably unread, and rewriting it to a plain POP is exactly as safe there
 // as anywhere else — the diagnostic layer's idiomatic-code carve-out is a
 // reporting policy, not a semantic one.
 func OptimizationFacts(root *minipy.Code) *minipy.OptFacts {
-	return InterprocAnalyze(root, nil).OptimizationFacts()
-}
-
-// OptimizationFacts derives the package-level OptimizationFacts from facts
-// already computed over m.Module (a Report's), without re-running the
-// interprocedural analysis.
-func (m *ModuleFacts) OptimizationFacts() *minipy.OptFacts {
-	root := m.Module
 	facts := &minipy.OptFacts{DeadStores: map[*minipy.Code]map[int]bool{}}
 	var walk func(c *minipy.Code)
 	walk = func(c *minipy.Code) {
@@ -37,7 +27,6 @@ func (m *ModuleFacts) OptimizationFacts() *minipy.OptFacts {
 		}
 	}
 	walk(root)
-	addFactGates(facts, m)
 	return facts
 }
 

@@ -55,21 +55,31 @@ func variant(t *testing.T, b workloads.Benchmark, level int) *minipy.Code {
 }
 
 // TestCertificateSoundOnSuite is the central soundness property of the
-// interprocedural analysis (ISSUE 8): across the whole canonical suite, at
-// every optimization level, on both engines, the VM must never observe a
-// value outside a claimed interval, a write outside a certified effect
-// summary, or a non-fresh-certified call returning a fresh object. The
-// certificate is recomputed per variant, so the claims being checked are
-// about the exact (possibly superinstruction-fused, fact-rewritten)
-// bytecode that executes. Checksums are verified at every level, proving
-// the fact-gated -opt 3 transforms preserve semantics.
+// interprocedural analysis: across the whole canonical suite, at every
+// optimization level, on both engines, the VM must never observe a value
+// outside a claimed interval, a write outside a certified effect summary,
+// or a non-fresh-certified call returning a fresh object. The certificate
+// is recomputed per variant, so the claims being checked are about the
+// exact (possibly superinstruction-fused) bytecode that executes. Checksums
+// are verified at every level. The level past minipy.MaxOptLevel must be
+// refused by the optimizer, never clamped to a level it does accept.
 func TestCertificateSoundOnSuite(t *testing.T) {
 	for _, b := range workloads.Suite() {
-		for _, level := range []int{0, 2, 3} {
+		for _, level := range []int{0, 2, minipy.MaxOptLevel + 1} {
 			for _, mode := range []vm.Mode{vm.ModeInterp, vm.ModeJIT} {
 				b, level, mode := b, level, mode
 				t.Run(fmt.Sprintf("%s/opt%d/%v", b.Name, level, mode), func(t *testing.T) {
 					t.Parallel()
+					if level > minipy.MaxOptLevel {
+						base, err := b.Compile()
+						if err != nil {
+							t.Fatalf("compile: %v", err)
+						}
+						if _, err := minipy.Optimize(base, level, analysis.OptimizationFacts(base)); err == nil {
+							t.Fatalf("Optimize accepted out-of-range level %d", level)
+						}
+						return
+					}
 					code := variant(t, b, level)
 					chk, last, steps := checkedRun(t, code, mode, 2)
 					for _, v := range chk.Violations() {
@@ -99,7 +109,7 @@ func TestCertificateSoundOnSuite(t *testing.T) {
 // TestCertificateSoundOnSynthetics extends the property over generated
 // workloads at multiple seeds, exercising program shapes the hand-written
 // suite does not (parameterized loop trip counts, dict/str mixes, branch
-// entropy) on the interpreter at the fact-gated level.
+// entropy) on the interpreter at the highest optimization level.
 func TestCertificateSoundOnSynthetics(t *testing.T) {
 	for _, seed := range []uint64{42, 43} {
 		for i, cfg := range []workloads.SyntheticConfig{
@@ -110,7 +120,7 @@ func TestCertificateSoundOnSynthetics(t *testing.T) {
 			b := workloads.Synthetic(cfg)
 			t.Run(fmt.Sprintf("seed%d/cfg%d", seed, i), func(t *testing.T) {
 				t.Parallel()
-				code := variant(t, b, 3)
+				code := variant(t, b, minipy.MaxOptLevel)
 				chk, _, _ := checkedRun(t, code, vm.ModeInterp, 2)
 				for _, v := range chk.Violations() {
 					t.Errorf("soundness violation: %s", v)

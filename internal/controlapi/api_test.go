@@ -182,6 +182,18 @@ func TestSubmitRejections(t *testing.T) {
 			wantIn:     "unknown vm tier",
 		},
 		{
+			// An opt level past the optimizer's ceiling is refused, not
+			// clamped.
+			name: "opt out of range",
+			body: func(t *testing.T) []byte {
+				s := tinySpec()
+				s.Opt = 3
+				return mustMarshal(t, s)
+			},
+			wantStatus: http.StatusBadRequest,
+			wantIn:     "opt level 3 out of range 0..2",
+		},
+		{
 			name: "bad fault spec",
 			body: func(t *testing.T) []byte {
 				s := tinySpec()

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/harness"
+	"repro/internal/minipy"
 	"repro/internal/noise"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -48,8 +49,8 @@ type CampaignSpec struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Noise names the simulated machine: default, quiet, noisy, none.
 	Noise string `json:"noise,omitempty"`
-	// Opt is the bytecode-optimization level (0–3); levels ≥ 1 are a
-	// distinct experiment arm (ablations A7/A8).
+	// Opt is the bytecode-optimization level (0–2); levels ≥ 1 are a
+	// distinct experiment arm (ablation A7).
 	Opt int `json:"opt,omitempty"`
 	// VM selects the register stream: "" or "reg" (default) or
 	// "reg-elide" (move-elided stream, ablation A9), which changes the
@@ -190,8 +191,8 @@ func (s CampaignSpec) Validate() error {
 	if _, err := faults.Parse(s.Faults); err != nil {
 		return specErrf("%v", err)
 	}
-	if s.Opt < 0 || s.Opt > 3 {
-		return specErrf("opt level %d out of range 0..3", s.Opt)
+	if err := minipy.CheckOptLevel(s.Opt); err != nil {
+		return specErrf("%v", err)
 	}
 	if _, ok := vm.TierSpec(s.VM); !ok {
 		return specErrf("unknown vm tier %q (want reg or reg-elide)", s.VM)

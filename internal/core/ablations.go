@@ -407,59 +407,6 @@ func (e *Engine) AblationSuperinstructions() (*report.Table, error) {
 	return t, nil
 }
 
-// AblationFactGates — A8: effect of the certificate-licensed -opt 3
-// rewrites (pure-call constant folding and decided-guard elision, gated on
-// the interprocedural analysis of DESIGN.md §14) over the -opt 2 baseline
-// they stack on. Both arms run the full rigorous design and are compared
-// with Kalibera–Jones intervals, exactly like A7. The expected outcome on
-// the canonical suite is a null result — real kernels rarely call pure
-// functions on constant arguments or branch on statically-decided
-// compares — and that is the point of the table: the gates refuse
-// everything the certificate cannot license, and the CI machinery is what
-// distinguishes "no transform fired" from "a transform fired and its
-// effect drowned in noise". The transforms' positive direction is pinned
-// by the analysis package's demo-program tests, and every Run here
-// validates checksums, witnessing that -opt 3 preserves results.
-func (e *Engine) AblationFactGates() (*report.Table, error) {
-	t := report.NewTable("Ablation A8: certificate-gated rewrites (-opt 3 vs -opt 2)",
-		"benchmark", "class", "rel. ops", "speedup", "CI low", "CI high", "verdict")
-	rig := methodology.Rigorous{Confidence: e.cfg.Confidence, Seed: e.cfg.Seed}
-	arm := func(b workloads.Benchmark, opt int) (*harness.Result, error) {
-		return e.runner.Run(b, harness.Options{
-			Mode:        vm.ModeInterp,
-			Invocations: e.cfg.Invocations,
-			Iterations:  e.cfg.Iterations,
-			Seed:        e.cfg.Seed ^ benchSeed(b.Name, vm.ModeInterp) ^ uint64(opt)<<48,
-			Noise:       e.cfg.Noise,
-			Opt:         opt,
-		})
-	}
-	var opsRels, speedups []float64
-	for _, b := range e.cfg.Benchmarks {
-		base, err := arm(b, 2)
-		if err != nil {
-			return nil, err
-		}
-		opt, err := arm(b, 3)
-		if err != nil {
-			return nil, err
-		}
-		sb := base.Invocations[0].Steps
-		so := opt.Invocations[0].Steps
-		opsRel := float64(so[len(so)-1]) / float64(sb[len(sb)-1])
-		cmp := rig.Compare(base.Hierarchical(), opt.Hierarchical())
-		opsRels = append(opsRels, opsRel)
-		speedups = append(speedups, cmp.Speedup)
-		t.AddRow(b.Name, string(b.Class), opsRel,
-			cmp.Speedup, cmp.CI.Lo, cmp.CI.Hi, cmp.Verdict.String())
-	}
-	t.AddRow("GEOMEAN", "", stats.GeoMean(opsRels), stats.GeoMean(speedups), "", "", "")
-	t.Caption = fmt.Sprintf(
-		"Interpreter, %d invocations × %d iterations per arm; speedup = opt-2 time / opt-3 time with %v%% Kalibera–Jones CIs; rel. ops = executed bytecode ops per steady iteration, opt 3 / opt 2. rel. ops = 1.000 means no certificate license fired on that benchmark.",
-		e.cfg.Invocations, e.cfg.Iterations, 100*e.cfg.Confidence)
-	return t, nil
-}
-
 // AblationRegisterElision — A9: effect of the register tier's move-elision
 // pass (-vm reg-elide) over the default 1:1 register stream. The 1:1
 // lowering executes exactly the stack tier's op sequence (that equality is
@@ -467,7 +414,7 @@ func (e *Engine) AblationFactGates() (*report.Table, error) {
 // tier variant that changes the simulated stream: forwarding moves are
 // deleted and their dispatches disappear from the step count. Both arms
 // run the full rigorous design and are compared with Kalibera–Jones
-// intervals, like A7/A8. rel. ops is the deterministic executed-op ratio;
+// intervals, like A7. rel. ops is the deterministic executed-op ratio;
 // the checksum validation inside each Run witnesses that elision preserves
 // program results even though it is not sample-set-preserving.
 func (e *Engine) AblationRegisterElision() (*report.Table, error) {

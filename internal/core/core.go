@@ -1,7 +1,7 @@
 // Package core is the public face of the reproduction: it wires the MiniPy
 // engines, the noise model, the harness, the statistics layer, and the
 // methodology package into the experiments of the paper's evaluation
-// (tables T1–T5, figures F1–F8, plus ablations A1–A9). Each experiment
+// (tables T1–T5, figures F1–F8, plus ablations A1–A7 and A9). Each experiment
 // method returns a report.Table or report.Figure whose text rendering is
 // what EXPERIMENTS.md records.
 package core
@@ -210,7 +210,7 @@ func benchSeed(name string, mode vm.Mode) uint64 {
 	return h ^ uint64(mode+1)<<32
 }
 
-// Experiment runs an experiment by id ("T1".."T5", "F1".."F8", "A1".."A9")
+// Experiment runs an experiment by id ("T1".."T5", "F1".."F8", "A1".."A7", "A9")
 // and returns its rendered report.
 func (e *Engine) Experiment(id string) (fmt.Stringer, error) {
 	switch id {
@@ -254,8 +254,6 @@ func (e *Engine) Experiment(id string) (fmt.Stringer, error) {
 		return e.AblationInlineCache()
 	case "A7":
 		return e.AblationSuperinstructions()
-	case "A8":
-		return e.AblationFactGates()
 	case "A9":
 		return e.AblationRegisterElision()
 	}
@@ -266,7 +264,7 @@ func (e *Engine) Experiment(id string) (fmt.Stringer, error) {
 func ExperimentIDs() []string {
 	return []string{"T1", "T2", "T3", "T4", "T5",
 		"F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8",
-		"A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9"}
+		"A1", "A2", "A3", "A4", "A5", "A6", "A7", "A9"}
 }
 
 // SpeedupResult is one benchmark's rigorous interp-vs-jit comparison,

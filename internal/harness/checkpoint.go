@@ -1,15 +1,9 @@
 package harness
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io/fs"
-	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -17,115 +11,6 @@ import (
 	"repro/internal/wal"
 	"repro/internal/workloads"
 )
-
-// CheckpointStore persists supervisor progress between invocations so an
-// interrupted experiment can resume without re-running completed work.
-// Derive produces an independent sub-store (used to keep the two arms of a
-// RunPair from clobbering each other).
-type CheckpointStore interface {
-	// Load returns the last saved state, or (nil, nil) when none exists.
-	Load() ([]byte, error)
-	// Save atomically replaces the stored state.
-	Save(data []byte) error
-	// Derive returns an independent store namespaced by suffix.
-	Derive(suffix string) CheckpointStore
-}
-
-// deriveCheckpoint is the nil-tolerant form of CheckpointStore.Derive.
-func deriveCheckpoint(base CheckpointStore, suffix string) CheckpointStore {
-	if base == nil {
-		return nil
-	}
-	return base.Derive(suffix)
-}
-
-// ckptCRC is the CRC32-C (Castagnoli) table shared by the checkpoint
-// trailer and the journal's frame checksums.
-var ckptCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// crcTrailerPrefix introduces the integrity trailer appended to single-file
-// checkpoints: "\n#crc32c=XXXXXXXX" after the JSON body. The body stays
-// valid JSON for human inspection; Load verifies and strips the trailer.
-const crcTrailerPrefix = "\n#crc32c="
-
-// appendCRCTrailer returns data with its integrity trailer appended.
-func appendCRCTrailer(data []byte) []byte {
-	sum := crc32.Checksum(data, ckptCRC)
-	return append(append([]byte(nil), data...),
-		[]byte(fmt.Sprintf("%s%08x", crcTrailerPrefix, sum))...)
-}
-
-// verifyCRCTrailer strips and checks the trailer. Trailer-less input is
-// passed through untouched — checkpoints written before the trailer existed
-// remain loadable; only a *present but wrong* trailer is an error.
-func verifyCRCTrailer(data []byte) ([]byte, error) {
-	i := bytes.LastIndex(data, []byte(crcTrailerPrefix))
-	if i < 0 {
-		return data, nil
-	}
-	body, tail := data[:i], data[i+len(crcTrailerPrefix):]
-	var want uint32
-	if _, err := fmt.Sscanf(string(tail), "%08x", &want); err != nil {
-		return nil, fmt.Errorf("checkpoint integrity trailer unreadable: %v", err)
-	}
-	if got := crc32.Checksum(body, ckptCRC); got != want {
-		return nil, fmt.Errorf("checkpoint corrupted: crc32c mismatch (stored %08x, computed %08x)", want, got)
-	}
-	return body, nil
-}
-
-// FileCheckpoint stores supervisor state in one JSON file. Saves write a
-// temp file, fsync it, and atomically rename over the target, so a kill —
-// or a power cut — mid-write can never leave a half-written checkpoint; a
-// CRC32-C trailer lets Load detect bit rot and torn writes that slipped
-// past the filesystem.
-type FileCheckpoint struct {
-	Path string
-}
-
-// Load implements CheckpointStore.
-func (f FileCheckpoint) Load() ([]byte, error) {
-	data, err := os.ReadFile(f.Path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return verifyCRCTrailer(data)
-}
-
-// Save implements CheckpointStore.
-func (f FileCheckpoint) Save(data []byte) error {
-	tmp := f.Path + ".tmp"
-	fh, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := fh.Write(appendCRCTrailer(data)); err != nil {
-		//benchlint:allow uncheckederr — cleanup; the write error wins
-		fh.Close()
-		return err
-	}
-	// Sync before rename: the rename must never make durable a name whose
-	// contents are still riding in the page cache.
-	if err := fh.Sync(); err != nil {
-		//benchlint:allow uncheckederr — cleanup; the sync error wins
-		fh.Close()
-		return err
-	}
-	if err := fh.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, f.Path)
-}
-
-// Derive implements CheckpointStore: sibling file with a suffixed name.
-func (f FileCheckpoint) Derive(suffix string) CheckpointStore {
-	ext := filepath.Ext(f.Path)
-	base := strings.TrimSuffix(f.Path, ext)
-	return FileCheckpoint{Path: base + "." + suffix + ext}
-}
 
 // checkpointBase sanitizes a benchmark name into a filesystem-safe stem.
 func checkpointBase(bench string) string {
@@ -139,13 +24,6 @@ func checkpointBase(bench string) string {
 	}, bench)
 }
 
-// FileCheckpointFor names a checkpoint file for one benchmark × mode
-// inside dir — the layout the CLI's --resume flag uses for suite runs.
-func FileCheckpointFor(dir, bench string, mode vm.Mode) FileCheckpoint {
-	return FileCheckpoint{Path: filepath.Join(dir,
-		fmt.Sprintf("%s_%s.ckpt.json", checkpointBase(bench), mode))}
-}
-
 // JournalCheckpointFor names a journal-backed checkpoint for one benchmark ×
 // mode inside dir — the crash-safe layout `pybench -resume` uses.
 func JournalCheckpointFor(dir, bench string, mode vm.Mode) *JournalCheckpoint {
@@ -153,49 +31,10 @@ func JournalCheckpointFor(dir, bench string, mode vm.Mode) *JournalCheckpoint {
 		fmt.Sprintf("%s_%s.ckpt.wal", checkpointBase(bench), mode)))
 }
 
-// MemCheckpoint is an in-memory store for tests and embedding.
-type MemCheckpoint struct {
-	data     []byte
-	children map[string]*MemCheckpoint
-}
-
-// NewMemCheckpoint returns an empty in-memory store.
-func NewMemCheckpoint() *MemCheckpoint { return &MemCheckpoint{} }
-
-// Load implements CheckpointStore.
-func (m *MemCheckpoint) Load() ([]byte, error) { return m.data, nil }
-
-// Save implements CheckpointStore.
-func (m *MemCheckpoint) Save(data []byte) error {
-	m.data = append([]byte(nil), data...)
-	return nil
-}
-
-// Derive implements CheckpointStore; derived stores are stable per suffix.
-func (m *MemCheckpoint) Derive(suffix string) CheckpointStore {
-	if m.children == nil {
-		m.children = map[string]*MemCheckpoint{}
-	}
-	child, ok := m.children[suffix]
-	if !ok {
-		child = NewMemCheckpoint()
-		m.children[suffix] = child
-	}
-	return child
-}
-
-// Snapshot returns a copy of the current state (tests use this to simulate
-// a mid-run kill by restoring an older snapshot).
-func (m *MemCheckpoint) Snapshot() []byte { return append([]byte(nil), m.data...) }
-
-// Restore overwrites the state with a snapshot.
-func (m *MemCheckpoint) Restore(data []byte) { m.data = append([]byte(nil), data...) }
-
 // checkpointVersion guards the on-disk format. Version 2 keyed progress by
 // invocation id instead of arrival order (the parallel sharded runner
-// completes invocations out of order). Version 3 adds integrity: single
-// files carry a CRC32-C trailer, and the journal-backed store persists the
-// same slot records as CRC-framed write-ahead appends.
+// completes invocations out of order). Version 3 persists the slot records
+// as CRC-framed write-ahead journal appends.
 const checkpointVersion = 3
 
 // slotRecord is the complete supervised outcome of one invocation slot:
@@ -210,14 +49,6 @@ type slotRecord struct {
 	Quarantined int         `json:",omitempty"`
 }
 
-// checkpointState is the serialized supervisor progress: the experiment's
-// identity key and every completed invocation slot, sorted by index.
-type checkpointState struct {
-	Version int
-	Key     string
-	Slots   []slotRecord
-}
-
 // checkpointKey derives the experiment identity a checkpoint belongs to.
 // Resuming under any changed configuration — different benchmark, seed,
 // design, fault model, or retry policy — is refused rather than silently
@@ -228,66 +59,6 @@ func checkpointKey(b workloads.Benchmark, opts Options, so SupervisorOptions, fa
 		opts.Iterations, opts.Noise, opts.Cost, opts.WithCounters, opts.FreqGHz,
 		opts.MaxStepsPerInvocation, opts.WallBudget,
 		so.Faults, faultSeed, so.MaxRetries, so.Quorum)
-}
-
-// loadCheckpoint restores saved progress as a map keyed by invocation id.
-// Returns (nil, nil) when no checkpoint exists; errors when one exists but
-// belongs to a different experiment configuration or cannot be decoded.
-func loadCheckpoint(store CheckpointStore, key string) (map[int]slotRecord, error) {
-	data, err := store.Load()
-	if err != nil {
-		return nil, fmt.Errorf("loading checkpoint: %w", err)
-	}
-	if data == nil {
-		return nil, nil
-	}
-	var st checkpointState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("decoding checkpoint: %w", err)
-	}
-	if st.Key != key {
-		return nil, fmt.Errorf("checkpoint belongs to a different experiment (saved %q, running %q); delete it or rerun with the original configuration",
-			st.Key, key)
-	}
-	if st.Version != checkpointVersion {
-		return nil, fmt.Errorf("checkpoint format v%d is not the supported v%d; delete it and rerun",
-			st.Version, checkpointVersion)
-	}
-	slots := make(map[int]slotRecord, len(st.Slots))
-	for _, s := range st.Slots {
-		slots[s.Index] = s
-	}
-	return slots, nil
-}
-
-// saveCheckpoint persists every completed slot, sorted by invocation id so
-// the stored state is independent of completion order.
-func saveCheckpoint(store CheckpointStore, key string, slots []slotRecord) error {
-	sorted := append([]slotRecord(nil), slots...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
-	data, err := json.Marshal(checkpointState{
-		Version: checkpointVersion,
-		Key:     key,
-		Slots:   sorted,
-	})
-	if err != nil {
-		return err
-	}
-	return store.Save(data)
-}
-
-// slotAppender is the incremental fast path a store may offer: persist one
-// freshly-completed slot without rewriting the full state. The supervisor
-// serializes calls; implementations need not be safe for concurrent use
-// with themselves (JournalCheckpoint locks anyway, for Derive siblings).
-type slotAppender interface {
-	AppendSlot(key string, slot slotRecord) error
-}
-
-// recoveryReporter exposes what journal recovery found, so the supervisor
-// can surface torn tails and corruption in Supervision.Journal.
-type recoveryReporter interface {
-	RecoveryReport() *wal.RecoveryReport
 }
 
 // journalEntry is one record in a journal-backed checkpoint: exactly one
@@ -361,63 +132,32 @@ func (j *JournalCheckpoint) open() error {
 	return nil
 }
 
-// Load implements CheckpointStore: the replayed journal is synthesized into
-// the same JSON document a single-file store would return, so the
-// supervisor's key/version validation is shared across store kinds.
-func (j *JournalCheckpoint) Load() ([]byte, error) {
+// resume replays the journal and returns its completed slots keyed by
+// invocation id, plus what recovery found on open. The slots are nil for an
+// empty or never-written journal; an error means the journal cannot be
+// decoded or belongs to a different experiment configuration.
+func (j *JournalCheckpoint) resume(key string) (map[int]slotRecord, wal.RecoveryReport, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.open(); err != nil {
-		return nil, err
+		return nil, wal.RecoveryReport{}, fmt.Errorf("loading checkpoint: %w", err)
 	}
 	if j.header == nil {
-		return nil, nil // empty or never-written journal: fresh run
+		return nil, j.report, nil
 	}
-	st := checkpointState{Version: j.header.Version, Key: j.header.Key}
-	for _, s := range j.slots {
-		st.Slots = append(st.Slots, s)
+	if j.header.Key != key {
+		return nil, j.report, fmt.Errorf("checkpoint belongs to a different experiment (saved %q, running %q); delete it or rerun with the original configuration",
+			j.header.Key, key)
 	}
-	sort.Slice(st.Slots, func(a, b int) bool { return st.Slots[a].Index < st.Slots[b].Index })
-	return json.Marshal(st)
+	if j.header.Version != checkpointVersion {
+		return nil, j.report, fmt.Errorf("checkpoint format v%d is not the supported v%d; delete it and rerun",
+			j.header.Version, checkpointVersion)
+	}
+	return j.slots, j.report, nil
 }
 
-// Save implements CheckpointStore: a full-state write compacts the journal
-// via atomic rotation (temp file, fsync, rename).
-func (j *JournalCheckpoint) Save(data []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.open(); err != nil {
-		return err
-	}
-	var st checkpointState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("encoding checkpoint journal: %w", err)
-	}
-	hdr := journalHeader{Version: st.Version, Key: st.Key}
-	records := make([][]byte, 0, len(st.Slots)+1)
-	rec, err := json.Marshal(journalEntry{Header: &hdr})
-	if err != nil {
-		return err
-	}
-	records = append(records, rec)
-	slots := map[int]slotRecord{}
-	for _, s := range st.Slots {
-		s := s
-		slots[s.Index] = s
-		if rec, err = json.Marshal(journalEntry{Slot: &s}); err != nil {
-			return err
-		}
-		records = append(records, rec)
-	}
-	if err := j.jn.Rotate(records); err != nil {
-		return err
-	}
-	j.header, j.slots = &hdr, slots
-	return nil
-}
-
-// AppendSlot implements slotAppender: one fsynced frame per completed
-// invocation. The first append also writes the experiment header.
+// AppendSlot persists one completed slot as one fsynced frame. The first
+// append also writes the experiment header.
 func (j *JournalCheckpoint) AppendSlot(key string, slot slotRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -446,21 +186,13 @@ func (j *JournalCheckpoint) AppendSlot(key string, slot slotRecord) error {
 	return nil
 }
 
-// RecoveryReport implements recoveryReporter. Nil until the journal has
-// been opened.
-func (j *JournalCheckpoint) RecoveryReport() *wal.RecoveryReport {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.opened {
+// Derive returns the sibling journal namespaced by suffix, on the same
+// filesystem (RunPair keeps each arm in its own journal). A nil store
+// derives nil.
+func (j *JournalCheckpoint) Derive(suffix string) *JournalCheckpoint {
+	if j == nil {
 		return nil
 	}
-	rep := j.report
-	return &rep
-}
-
-// Derive implements CheckpointStore: sibling journal with a suffixed name,
-// on the same filesystem.
-func (j *JournalCheckpoint) Derive(suffix string) CheckpointStore {
 	ext := filepath.Ext(j.path)
 	base := strings.TrimSuffix(j.path, ext)
 	return NewJournalCheckpointFS(j.fsys, base+"."+suffix+ext)

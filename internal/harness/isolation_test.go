@@ -5,11 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
 	"repro/internal/noise"
+	"repro/internal/vm"
+	"repro/internal/wal"
 )
 
 // TestMain doubles as the worker binary: with PYBENCH_TEST_WORKER set the
@@ -238,9 +241,10 @@ func TestJournalTornTailResumesLosslessly(t *testing.T) {
 func TestCheckpointErrorsAreSurvived(t *testing.T) {
 	b := mustBench(t, "fib")
 	opts := Options{Invocations: 3, Iterations: 2, Seed: 17, Noise: noise.Default()}
-	// A store whose every write fails: the campaign must finish anyway and
-	// report the lost durability.
-	ck := failingCheckpoint{}
+	// A journal whose every write hits ENOSPC: the campaign must finish
+	// anyway and report the lost durability.
+	full := faults.NewChaosFS(wal.OSFS{}, faults.Params{DiskFullProb: 1}, 1)
+	ck := NewJournalCheckpointFS(full, filepath.Join(t.TempDir(), "full.ckpt.wal"))
 	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(b, opts)
 	if err != nil {
 		t.Fatalf("checkpoint failure must not kill the run: %v", err)
@@ -249,18 +253,78 @@ func TestCheckpointErrorsAreSurvived(t *testing.T) {
 	if sup.CheckpointErrors != 3 {
 		t.Fatalf("CheckpointErrors = %d, want 3", sup.CheckpointErrors)
 	}
-	if sup.CheckpointError == "" || !sup.Degraded() {
+	if !strings.Contains(sup.CheckpointError, "no space left") || !sup.Degraded() {
 		t.Fatalf("failed durability must degrade the run: %+v", sup)
 	}
 }
 
-type failingCheckpoint struct{}
-
-func (failingCheckpoint) Load() ([]byte, error) { return nil, nil }
-func (failingCheckpoint) Save([]byte) error {
-	return errors.New("disk full")
+// TestSupervisorClosesCheckpointJournal pins that a supervised run releases
+// its journal's file descriptor on return instead of leaving it to the
+// garbage collector: reusing one store across runs must not grow the
+// process's open files.
+func TestSupervisorClosesCheckpointJournal(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd on this platform")
+	}
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	b := mustBench(t, "fib")
+	dir := t.TempDir()
+	opts := Options{Invocations: 1, Iterations: 1, Seed: 5, Noise: noise.Default()}
+	run := func() {
+		t.Helper()
+		ck := JournalCheckpointFor(dir, b.Name, vm.ModeInterp)
+		if _, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(b, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm-up: lazily created runtime descriptors are not leaks
+	before := openFDs()
+	for i := 0; i < 40; i++ {
+		run()
+	}
+	if after := openFDs(); after > before {
+		t.Fatalf("open file descriptors grew from %d to %d over 40 supervised runs", before, after)
+	}
 }
-func (failingCheckpoint) Derive(string) CheckpointStore { return failingCheckpoint{} }
+
+// TestResumesJournalFromCheckpointV3 resumes a journal committed as a
+// fixture (fib, 3 invocations, crashed after the first completed slot) so
+// that an on-disk format change cannot slip through: `pybench -resume`
+// directories written by earlier builds must keep resuming.
+func TestResumesJournalFromCheckpointV3(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fib_interp.ckpt.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "fib_interp.ckpt.wal"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b := mustBench(t, "fib")
+	opts := Options{Mode: vm.ModeInterp, Invocations: 3, Iterations: 3, Seed: 42, Noise: noise.Default()}
+	clean, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := JournalCheckpointFor(dir, b.Name, vm.ModeInterp)
+	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Supervision.ResumedFrom != 1 {
+		t.Fatalf("ResumedFrom = %d, want 1", res.Supervision.ResumedFrom)
+	}
+	if j := res.Supervision.Journal; j == nil || !j.Clean() || j.Records != 2 {
+		t.Fatalf("fixture journal must recover clean with 2 records: %+v", j)
+	}
+	sameSamples(t, clean, res, "fixture resume vs uninterrupted")
+}
 
 func TestQuorumFailureIsErrQuorum(t *testing.T) {
 	b := mustBench(t, "fib")
@@ -294,42 +358,5 @@ func TestJitterBackoffDeterministicAndBounded(t *testing.T) {
 	if jitterBackoff(base, max, 99, 0, 1) == jitterBackoff(base, max, 99, 1, 1) &&
 		jitterBackoff(base, max, 99, 0, 2) == jitterBackoff(base, max, 99, 2, 2) {
 		t.Fatal("jitter identical across invocations; streams not split")
-	}
-}
-
-func TestFileCheckpointCRCTrailer(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.json")
-	ck := FileCheckpoint{Path: path}
-	payload := []byte(`{"Version":3,"Key":"k","Slots":[]}`)
-	if err := ck.Save(payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ck.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(payload) {
-		t.Fatalf("round trip mutated payload: %q", got)
-	}
-
-	// Flip one byte of the body: Load must refuse, not trust it.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[5] ^= 0x01
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ck.Load(); err == nil {
-		t.Fatal("corrupted checkpoint loaded without error")
-	}
-
-	// Legacy trailer-less files stay loadable.
-	if err := os.WriteFile(path, payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := ck.Load(); err != nil || string(got) != string(payload) {
-		t.Fatalf("legacy checkpoint rejected: %q, %v", got, err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/noise"
 	"repro/internal/profile"
 	"repro/internal/trace"
+	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -53,7 +54,7 @@ func TestSupervisorEmitsInstantEvents(t *testing.T) {
 	reg := metrics.NewRegistry()
 	r := NewRunner()
 	r.SetObserver(Observer{Trace: tr, Metrics: reg})
-	ckpt := NewMemCheckpoint()
+	ckpt := JournalCheckpointFor(t.TempDir(), "fib", vm.ModeInterp)
 	s := NewSupervisor(r, SupervisorOptions{
 		MaxRetries: 5,
 		Faults:     faults.Params{PanicProb: 0.4},

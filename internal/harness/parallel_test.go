@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/noise"
 	"repro/internal/profile"
 	"repro/internal/trace"
+	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -94,28 +96,41 @@ func TestSupervisedParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelCheckpointResume kills a parallel run's checkpoint back to a
-// partial snapshot and resumes it sequentially (and vice versa): slot-keyed
+// TestParallelCheckpointResume crashes a parallel run partway and resumes
+// it sequentially, then resumes the completed journal again: slot-keyed
 // checkpoints make progress portable across worker counts.
 func TestParallelCheckpointResume(t *testing.T) {
 	b := mustBench(t, "fib")
 	opts := Options{Invocations: 6, Iterations: 4, Seed: 9, Noise: noise.Default()}
 	po := ParallelOptions{Workers: 3, Policy: PolicyForce}
 
-	// Full parallel run with checkpointing: the reference result.
-	ckptA := NewMemCheckpoint()
-	full, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ckptA}).
-		RunParallel(b, opts, po)
+	// Full parallel run without a checkpoint: the reference result.
+	full, err := NewSupervisor(NewRunner(), SupervisorOptions{}).RunParallel(b, opts, po)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Replay: restore the final checkpoint into a fresh store and resume —
-	// everything is already complete, so the run restores all slots.
-	ckptB := NewMemCheckpoint()
-	ckptB.Restore(ckptA.Snapshot())
-	resumed, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ckptB}).
+	ckpt := JournalCheckpointFor(t.TempDir(), b.Name, vm.ModeInterp)
+	_, err = NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ckpt, CrashAfter: 2}).
+		RunParallel(b, opts, po)
+	if !errors.Is(err, ErrCrashPoint) {
+		t.Fatalf("want ErrCrashPoint, got %v", err)
+	}
+	partial, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ckpt}).
 		Run(b, opts) // resume *sequentially* from a parallel checkpoint
+	if err != nil {
+		t.Fatal(err)
+	}
+	if partial.Supervision.ResumedFrom < 2 {
+		t.Fatalf("ResumedFrom = %d, want >= 2", partial.Supervision.ResumedFrom)
+	}
+	if !reflect.DeepEqual(full.Invocations, partial.Invocations) {
+		t.Fatal("partially resumed invocations differ from the parallel run")
+	}
+
+	// Everything is now complete, so the run restores all slots.
+	resumed, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ckpt}).
+		RunParallel(b, opts, po)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,11 +180,10 @@ type SupervisorOptions struct {
 	BackoffMax time.Duration
 	// RealBackoff makes the supervisor actually sleep its backoff.
 	RealBackoff bool
-	// Checkpoint, when non-nil, persists progress after every invocation
-	// so an interrupted experiment resumes without re-running completed
-	// work. A store that also implements slotAppender (JournalCheckpoint)
-	// gets incremental write-ahead appends instead of full rewrites.
-	Checkpoint CheckpointStore
+	// Checkpoint, when non-nil, appends every completed invocation to a
+	// write-ahead journal so an interrupted experiment resumes without
+	// re-running completed work.
+	Checkpoint *JournalCheckpoint
 	// Isolation shells invocation attempts out to watchdogged worker
 	// child processes (see IsolationOptions).
 	Isolation IsolationOptions
@@ -300,9 +299,17 @@ func (s *Supervisor) RunParallel(b workloads.Benchmark, opts Options, po Paralle
 }
 
 // runWith is the shared engine behind Run/RunParallel, with an explicit
-// checkpoint store (RunPair gives each arm its own derived store).
+// checkpoint store (RunPair gives each arm its own derived store). The
+// store's journal is closed on every return path; a later run reopens it.
 func (s *Supervisor) runWith(b workloads.Benchmark, opts Options,
-	ckpt CheckpointStore, po ParallelOptions) (*Result, error) {
+	ckpt *JournalCheckpoint, po ParallelOptions) (_ *Result, err error) {
+	if ckpt != nil {
+		defer func() {
+			if cerr := ckpt.Close(); cerr != nil && err == nil {
+				err = fmt.Errorf("harness: %s: closing checkpoint: %w", b.Name, cerr)
+			}
+		}()
+	}
 	opts = opts.withDefaults()
 	po = po.withDefaults()
 	prog, summary, err := s.r.compiled(b, opts.Opt)
@@ -359,21 +366,18 @@ func (s *Supervisor) runWith(b workloads.Benchmark, opts Options,
 	resumed := 0
 	var journalRep *wal.RecoveryReport
 	if ckpt != nil {
-		restored, err := loadCheckpoint(ckpt, key)
+		restored, rep, err := ckpt.resume(key)
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", b.Name, err)
 		}
-		// A journal-backed store reports what recovery found: torn tails
-		// and corrupt records are repaired, never silently trusted, and the
-		// result carries the report.
-		if rr, ok := ckpt.(recoveryReporter); ok {
-			journalRep = rr.RecoveryReport()
-			if journalRep != nil && !journalRep.Clean() {
-				obs.Trace.Instant(trace.CatSupervisor, "journal-recovered",
-					"benchmark", b.Name, "report", journalRep.String())
-				obs.Metrics.Counter(mJournalRecoveries,
-					"journals repaired (torn tail or corrupt records) on open").Inc()
-			}
+		// Recovery repairs torn tails and corrupt records, never silently
+		// trusts them, and the result carries the report.
+		journalRep = &rep
+		if !rep.Clean() {
+			obs.Trace.Instant(trace.CatSupervisor, "journal-recovered",
+				"benchmark", b.Name, "report", rep.String())
+			obs.Metrics.Counter(mJournalRecoveries,
+				"journals repaired (torn tail or corrupt records) on open").Inc()
 		}
 		for idx, slot := range restored {
 			if idx < 0 || idx >= opts.Invocations {
@@ -397,20 +401,17 @@ func (s *Supervisor) runWith(b workloads.Benchmark, opts Options,
 		}
 	}
 
-	// completeSlot records one freshly-run slot and checkpoints it. ckptMu
-	// guards the slots table against concurrent shards: each checkpoint
-	// snapshot reads every completed slot, so the per-index writes must
-	// synchronize with it. A journal-backed store gets an incremental
-	// write-ahead append instead of a full rewrite. Checkpoint failures
-	// (ENOSPC, injected storage faults) are survived, not fatal: losing
-	// durability must not lose the in-flight work — the run degrades and
-	// says so in Supervision.
+	// completeSlot records one freshly-run slot and appends it to the
+	// journal. ckptMu serializes the slots table, the crash-point count and
+	// the appends across concurrent shards. Checkpoint failures (ENOSPC,
+	// injected storage faults) are survived, not fatal: losing durability
+	// must not lose the in-flight work — the run degrades and says so in
+	// Supervision.
 	var ckptMu sync.Mutex
 	var ckptErrs int
 	var ckptFirstErr string
 	var completed int
 	crashed := false
-	appender, incremental := ckpt.(slotAppender)
 	completeSlot := func(idx int, slot slotRecord) {
 		if slot.Log.Status == StatusDropped {
 			obs.Trace.Instant(trace.CatSupervisor, "invocation-dropped",
@@ -427,19 +428,7 @@ func (s *Supervisor) runWith(b workloads.Benchmark, opts Options,
 		if ckpt == nil {
 			return
 		}
-		var err error
-		if incremental {
-			err = appender.AppendSlot(key, slot)
-		} else {
-			done := make([]slotRecord, 0, opts.Invocations)
-			for _, sl := range slots {
-				if sl != nil {
-					done = append(done, *sl)
-				}
-			}
-			err = saveCheckpoint(ckpt, key, done)
-		}
-		if err != nil {
+		if err := ckpt.AppendSlot(key, slot); err != nil {
 			ckptErrs++
 			if ckptFirstErr == "" {
 				ckptFirstErr = err.Error()
@@ -698,13 +687,13 @@ func (s *Supervisor) RunPairParallel(b workloads.Benchmark, opts Options, po Par
 	base := s.opts.Checkpoint
 	oi := opts
 	oi.Mode = vm.ModeInterp
-	interp, err = s.runWith(b, oi, deriveCheckpoint(base, "interp"), po)
+	interp, err = s.runWith(b, oi, base.Derive("interp"), po)
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: %s [interp arm]: %w", b.Name, err)
 	}
 	oj := opts
 	oj.Mode = vm.ModeJIT
-	jit, err = s.runWith(b, oj, deriveCheckpoint(base, "jit"), po)
+	jit, err = s.runWith(b, oj, base.Derive("jit"), po)
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: %s [jit arm]: %w", b.Name, err)
 	}

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"errors"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +11,8 @@ import (
 	"repro/internal/faults"
 	"repro/internal/noise"
 	"repro/internal/vm"
+	"repro/internal/wal"
+	"repro/internal/workloads"
 )
 
 func TestSupervisorNoFaultsMatchesRunner(t *testing.T) {
@@ -215,19 +219,10 @@ func TestSupervisorWallBudget(t *testing.T) {
 	}
 }
 
-// recordingStore snapshots every save so tests can rewind to a mid-run
-// state, simulating a kill.
-type recordingStore struct {
-	*MemCheckpoint
-	history [][]byte
-}
-
-func (r *recordingStore) Save(data []byte) error {
-	if err := r.MemCheckpoint.Save(data); err != nil {
-		return err
-	}
-	r.history = append(r.history, append([]byte(nil), data...))
-	return nil
+// journalIn returns a journal-backed checkpoint store in a fresh temp dir.
+func journalIn(t *testing.T, b workloads.Benchmark) *JournalCheckpoint {
+	t.Helper()
+	return JournalCheckpointFor(t.TempDir(), b.Name, vm.ModeInterp)
 }
 
 func TestSupervisorCheckpointResume(t *testing.T) {
@@ -235,23 +230,21 @@ func TestSupervisorCheckpointResume(t *testing.T) {
 	so := SupervisorOptions{MaxRetries: 2, Quorum: 4, Faults: faults.Light()}
 	opts := Options{Invocations: 6, Iterations: 3, Seed: 13, Noise: noise.Default()}
 
-	// Uninterrupted reference run, recording a snapshot per invocation.
-	rec := &recordingStore{MemCheckpoint: NewMemCheckpoint()}
-	soRef := so
-	soRef.Checkpoint = rec
-	ref, err := NewSupervisor(NewRunner(), soRef).Run(b, opts)
+	// Uninterrupted reference run.
+	ref, err := NewSupervisor(NewRunner(), so).Run(b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.history) != opts.Invocations {
-		t.Fatalf("expected %d checkpoint saves, got %d", opts.Invocations, len(rec.history))
-	}
 
-	// "Kill" after 3 invocations: restore that snapshot and resume.
-	resumeStore := NewMemCheckpoint()
-	resumeStore.Restore(rec.history[2])
+	// "Kill" after 3 invocations, then resume from the journal left behind.
+	store := journalIn(t, b)
+	soCrash := so
+	soCrash.Checkpoint, soCrash.CrashAfter = store, 3
+	if _, err := NewSupervisor(NewRunner(), soCrash).Run(b, opts); !errors.Is(err, ErrCrashPoint) {
+		t.Fatalf("want ErrCrashPoint, got %v", err)
+	}
 	soRes := so
-	soRes.Checkpoint = resumeStore
+	soRes.Checkpoint = store
 	got, err := NewSupervisor(NewRunner(), soRes).Run(b, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +278,7 @@ func TestSupervisorCheckpointResume(t *testing.T) {
 
 func TestSupervisorCheckpointKeyMismatch(t *testing.T) {
 	b := mustBench(t, "fib")
-	store := NewMemCheckpoint()
+	store := journalIn(t, b)
 	opts := Options{Invocations: 2, Iterations: 2, Seed: 1, Noise: noise.Default()}
 	if _, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: store}).Run(b, opts); err != nil {
 		t.Fatal(err)
@@ -297,26 +290,38 @@ func TestSupervisorCheckpointKeyMismatch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "different experiment") {
 		t.Fatalf("want key-mismatch error, got %v", err)
 	}
-	// Corrupted checkpoint data: decode error, not a crash.
-	store2 := NewMemCheckpoint()
-	store2.Restore([]byte("{broken"))
-	_, err = NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: store2}).Run(b, opts)
+	// A checksum-valid record that is not a journal entry: decode error,
+	// not a crash.
+	path := filepath.Join(t.TempDir(), "broken.ckpt.wal")
+	jn, _, _, err := wal.Open(wal.OSFS{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Append([]byte("{broken")); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	broken := NewJournalCheckpoint(path)
+	_, err = NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: broken}).Run(b, opts)
 	if err == nil || !strings.Contains(err.Error(), "decoding checkpoint") {
 		t.Fatalf("want decode error, got %v", err)
 	}
 }
 
 func TestSupervisorFileCheckpoint(t *testing.T) {
-	dir := t.TempDir()
 	b := mustBench(t, "fib")
-	store := FileCheckpointFor(dir, b.Name, vm.ModeInterp)
+	store := journalIn(t, b)
 	opts := Options{Invocations: 2, Iterations: 2, Seed: 1, Noise: noise.Default()}
 	ref, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: store}).Run(b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A second supervisor over the same file resumes at completion.
-	got, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: store}).Run(b, opts)
+	// A second supervisor over a fresh store on the same file resumes at
+	// completion.
+	again := NewJournalCheckpoint(store.path)
+	got, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: again}).Run(b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,17 +331,23 @@ func TestSupervisorFileCheckpoint(t *testing.T) {
 	if !reflect.DeepEqual(got.Invocations, ref.Invocations) {
 		t.Fatal("file-resumed result differs")
 	}
-	// Derive keeps arms separate.
-	d1 := store.Derive("interp").(FileCheckpoint)
-	d2 := store.Derive("jit").(FileCheckpoint)
-	if d1.Path == d2.Path || d1.Path == store.Path {
-		t.Fatalf("derived paths must be distinct: %s vs %s", d1.Path, d2.Path)
+	// Derive keeps arms in distinct sibling journals; nil derives nil.
+	d1, d2 := store.Derive("interp"), store.Derive("jit")
+	if d1.path == d2.path || d1.path == store.path {
+		t.Fatalf("derived paths must be distinct: %s vs %s", d1.path, d2.path)
+	}
+	if want := strings.TrimSuffix(store.path, ".wal") + ".jit.wal"; d2.path != want {
+		t.Fatalf("derived path %s, want %s", d2.path, want)
+	}
+	var none *JournalCheckpoint
+	if none.Derive("jit") != nil {
+		t.Fatal("a nil store must derive nil")
 	}
 }
 
 func TestSupervisorRunPair(t *testing.T) {
 	b := mustBench(t, "quicksort")
-	store := NewMemCheckpoint()
+	store := journalIn(t, b)
 	s := NewSupervisor(NewRunner(), SupervisorOptions{
 		MaxRetries: 2, Quorum: 2, Faults: faults.Light(), Checkpoint: store,
 	})
@@ -350,6 +361,19 @@ func TestSupervisorRunPair(t *testing.T) {
 	}
 	if interp.Supervision == nil || jit.Supervision == nil {
 		t.Fatal("both arms must carry supervision accounting")
+	}
+	// Each arm resumes from its own journal.
+	interp2, jit2, err := s.RunPair(b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if interp2.Supervision.ResumedFrom != 3 || jit2.Supervision.ResumedFrom != 3 {
+		t.Fatalf("arms resumed at %d/%d, want 3/3",
+			interp2.Supervision.ResumedFrom, jit2.Supervision.ResumedFrom)
+	}
+	if !reflect.DeepEqual(interp2.Invocations, interp.Invocations) ||
+		!reflect.DeepEqual(jit2.Invocations, jit.Invocations) {
+		t.Fatal("resumed arms differ from the first pair")
 	}
 	// A failing arm is labelled.
 	bad := mustBench(t, "fib")

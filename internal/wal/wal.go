@@ -73,7 +73,6 @@ func (r RecoveryReport) String() string {
 
 // Journal is an append-only record log on one file.
 type Journal struct {
-	fsys FS
 	path string
 	f    File
 }
@@ -174,7 +173,7 @@ func countParseable(data []byte, off int) int {
 // rewritten to that prefix before Open returns, so a second crash during
 // recovery still leaves a well-formed journal.
 func Open(fsys FS, path string) (*Journal, [][]byte, RecoveryReport, error) {
-	j := &Journal{fsys: fsys, path: path}
+	j := &Journal{path: path}
 	data, err := fsys.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, nil, RecoveryReport{}, fmt.Errorf("wal: reading %s: %w", path, err)
@@ -183,7 +182,7 @@ func Open(fsys FS, path string) (*Journal, [][]byte, RecoveryReport, error) {
 	if goodLen < len(data) {
 		// Rewrite to the trusted prefix via temp + rename so the repair
 		// itself is atomic.
-		if err := j.rewrite(data[:goodLen]); err != nil {
+		if err := atomicRewrite(fsys, path, data[:goodLen]); err != nil {
 			return nil, nil, rep, fmt.Errorf("wal: truncating damaged journal %s: %w", path, err)
 		}
 	}
@@ -193,11 +192,6 @@ func Open(fsys FS, path string) (*Journal, [][]byte, RecoveryReport, error) {
 	}
 	j.f = f
 	return j, records, rep, nil
-}
-
-// rewrite atomically replaces the journal file with raw bytes.
-func (j *Journal) rewrite(raw []byte) error {
-	return atomicRewrite(j.fsys, j.path, raw)
 }
 
 // Append durably appends one record: a single write of the framed record
@@ -216,32 +210,6 @@ func (j *Journal) Append(payload []byte) error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("wal: syncing %s: %w", j.path, err)
 	}
-	return nil
-}
-
-// Rotate compacts the journal to exactly records: they are framed into a
-// temp file, fsynced, and atomically renamed over the journal. A crash at
-// any byte offset leaves either the old journal or the new one — never a
-// mix.
-func (j *Journal) Rotate(records [][]byte) error {
-	if j.f != nil {
-		if err := j.f.Close(); err != nil {
-			return fmt.Errorf("wal: closing %s before rotation: %w", j.path, err)
-		}
-		j.f = nil
-	}
-	var raw []byte
-	for _, rec := range records {
-		raw = append(raw, encodeFrame(rec)...)
-	}
-	if err := j.rewrite(raw); err != nil {
-		return fmt.Errorf("wal: rotating %s: %w", j.path, err)
-	}
-	f, err := j.fsys.OpenAppend(j.path)
-	if err != nil {
-		return fmt.Errorf("wal: reopening %s after rotation: %w", j.path, err)
-	}
-	j.f = f
 	return nil
 }
 

@@ -71,37 +71,6 @@ func TestEmptyRecordRoundTrips(t *testing.T) {
 	}
 }
 
-func TestRotateCompacts(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "test.wal")
-	j, _, _, err := Open(OSFS{}, path)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	for _, r := range testRecords(10) {
-		if err := j.Append(r); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	compact := [][]byte{[]byte("snapshot")}
-	if err := j.Rotate(compact); err != nil {
-		t.Fatalf("Rotate: %v", err)
-	}
-	// Post-rotation appends land after the snapshot.
-	if err := j.Append([]byte("tail")); err != nil {
-		t.Fatalf("Append after rotate: %v", err)
-	}
-	j.Close()
-
-	_, got, rep, err := Open(OSFS{}, path)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	if !rep.Clean() || len(got) != 2 ||
-		string(got[0]) != "snapshot" || string(got[1]) != "tail" {
-		t.Fatalf("rotation result wrong: %q report %+v", got, rep)
-	}
-}
-
 func TestClosedJournalRefusesAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.wal")
 	j, _, _, err := Open(OSFS{}, path)

@@ -17,7 +17,6 @@ type Compiled struct {
 	Code     *minipy.Code
 	Analysis *analysis.Summary
 	Program  *vm.Program
-	facts    *analysis.ModuleFacts // Code's interprocedural facts, for GetOpt
 }
 
 // CodeCache is a concurrency-safe compile-once cache. The parallel harness
@@ -55,7 +54,7 @@ func (c *CodeCache) Get(b Benchmark) (entry Compiled, hit bool, err error) {
 	if err != nil {
 		return Compiled{}, false, err
 	}
-	if entry, err = prepared(b, rep.Facts().Module, rep.Summarize(), rep.Facts()); err != nil {
+	if entry, err = prepared(b, rep.Facts().Module, rep.Summarize()); err != nil {
 		return Compiled{}, false, err
 	}
 	c.entries[b.Name] = entry
@@ -64,25 +63,26 @@ func (c *CodeCache) Get(b Benchmark) (entry Compiled, hit bool, err error) {
 
 // prepared lowers code into its Program and assembles the cache entry; a
 // lowering failure is a compile error.
-func prepared(b Benchmark, code *minipy.Code, sum *analysis.Summary,
-	facts *analysis.ModuleFacts) (Compiled, error) {
+func prepared(b Benchmark, code *minipy.Code, sum *analysis.Summary) (Compiled, error) {
 	prog, err := vm.Prepare(code)
 	if err != nil {
 		return Compiled{}, fmt.Errorf("workload %s: %w", b.Name, err)
 	}
-	return Compiled{Code: code, Analysis: sum, Program: prog, facts: facts}, nil
+	return Compiled{Code: code, Analysis: sum, Program: prog}, nil
 }
 
 // GetOpt returns the compiled entry for b at bytecode-optimization level
-// opt (see minipy.Optimize). Level <= 0 is the plain entry. Optimized
-// entries are cached under a level-qualified key and share the base entry's
-// analysis summary — the summary describes the source program, which the
-// optimizer does not change observably — and the optimizer's facts come
-// from the base entry's interprocedural analysis. The base code object is never
-// mutated: every experiment arm holding a Compiled from Get still sees the
-// compiler's output.
+// opt (see minipy.Optimize). Level 0 is the plain entry; a level outside
+// 0..minipy.MaxOptLevel is an error. Optimized entries are cached under a
+// level-qualified key and share the base entry's analysis summary — the
+// summary describes the source program, which the optimizer does not change
+// observably. The base code object is never mutated: every experiment arm
+// holding a Compiled from Get still sees the compiler's output.
 func (c *CodeCache) GetOpt(b Benchmark, opt int) (entry Compiled, hit bool, err error) {
-	if opt <= 0 {
+	if err := minipy.CheckOptLevel(opt); err != nil {
+		return Compiled{}, false, fmt.Errorf("workload %s: %w", b.Name, err)
+	}
+	if opt == 0 {
 		return c.Get(b)
 	}
 	key := fmt.Sprintf("%s#opt%d", b.Name, opt)
@@ -101,11 +101,11 @@ func (c *CodeCache) GetOpt(b Benchmark, opt int) (entry Compiled, hit bool, err 
 	if entry, hit = c.entries[key]; hit {
 		return entry, true, nil
 	}
-	oc, err := minipy.Optimize(base.Code, opt, base.facts.OptimizationFacts())
+	oc, err := minipy.Optimize(base.Code, opt, analysis.OptimizationFacts(base.Code))
 	if err != nil {
 		return Compiled{}, false, fmt.Errorf("workload %s: optimize level %d: %w", b.Name, opt, err)
 	}
-	if entry, err = prepared(b, oc, base.Analysis, nil); err != nil {
+	if entry, err = prepared(b, oc, base.Analysis); err != nil {
 		return Compiled{}, false, err
 	}
 	c.entries[key] = entry

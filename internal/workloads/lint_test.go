@@ -59,18 +59,24 @@ func TestSuiteLintsClean(t *testing.T) {
 }
 
 // TestSuiteLintsCleanOptimized re-runs the dogfood pass over every workload's
-// -opt 2 and -opt 3 bytecode: the analyzer must decode superinstructions
-// (CFG edges out of BINARY_JUMP_IF_FALSE, fused-load uses in liveness and
-// definite assignment) and the certificate-gated rewrites' output, and
-// still certify the optimized stream. A fusion, folding, or fact-gate bug
-// that confuses the dataflow passes fails here before it can distort an
-// A7/A8 arm.
+// -opt 2 bytecode: the analyzer must decode superinstructions (CFG edges
+// out of BINARY_JUMP_IF_FALSE, fused-load uses in liveness and definite
+// assignment) and still certify the optimized stream. A fusion or folding
+// bug that confuses the dataflow passes fails here before it can distort an
+// A7 arm. The level past minipy.MaxOptLevel must be refused by the code
+// cache, never clamped to a level it does accept.
 func TestSuiteLintsCleanOptimized(t *testing.T) {
 	all := append(append([]Benchmark{}, Suite()...), Extended()...)
 	for _, b := range all {
-		for _, level := range []int{2, 3} {
+		for _, level := range []int{2, minipy.MaxOptLevel + 1} {
 			b, level := b, level
 			t.Run(fmt.Sprintf("%s/opt%d", b.Name, level), func(t *testing.T) {
+				if level > minipy.MaxOptLevel {
+					if _, _, err := NewCodeCache().GetOpt(b, level); err == nil {
+						t.Fatalf("GetOpt accepted out-of-range level %d", level)
+					}
+					return
+				}
 				base, err := b.Compile()
 				if err != nil {
 					t.Fatalf("compile: %v", err)
